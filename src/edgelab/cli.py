@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    edgelab run <config> [--out DIR] [--threads N] [--seed U64] [--override k=v]...
+    edgelab run <config> [--out DIR] [--threads N] [--override k=v]...
     edgelab check [--threads N]
     edgelab export-heatmap <snapshot> <pgm>
 
@@ -28,7 +28,6 @@ def build_parser():
     run.add_argument("config", help="config file (section.key = value lines)")
     run.add_argument("--out", default=None, help="output directory (overrides experiment.out)")
     run.add_argument("--threads", type=int, default=1, help="FFT worker threads")
-    run.add_argument("--seed", type=int, default=None, help="seed override (u64)")
     run.add_argument("--override", action="append", default=[], metavar="section.key=value",
                      help="config override, repeatable")
 
@@ -51,8 +50,6 @@ def main(argv=None):
         try:
             cfg = load_config(args.config)
             cfg.apply_overrides(args.override)
-            if args.seed is not None:
-                cfg.values["experiment.seed"] = args.seed
         except (ConfigError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -24,7 +24,6 @@ _KINDS = ("evolve", "scaling", "berry", "dispersion_probe", "hierarchy_check")
 _SCHEMA = {
     "experiment.kind": ("str", None),
     "experiment.out": ("str", "runs/out"),
-    "experiment.seed": ("int", 0),
     "wall.family": ("str", "tanh"),
     "wall.params": ("floats", ()),
     "wall.backend": ("str", "analytic"),

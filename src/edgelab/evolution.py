@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 from scipy import fft as sfft
 
+from .hermite import SolverError
 from .walls import DomainWall
 
 __all__ = [
@@ -56,10 +57,6 @@ def _fft2(a):
 
 def _ifft2(a):
     return sfft.ifft2(a, axes=(-2, -1), workers=_FFT_WORKERS)
-
-
-class SolverError(RuntimeError):
-    """Krylov non-convergence or norm-drift abort during evolution."""
 
 
 @dataclasses.dataclass(frozen=True)

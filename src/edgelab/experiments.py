@@ -4,9 +4,8 @@ Each runner reproduces one family of measurements: plain evolutions with
 snapshot dumps, error-versus-epsilon scaling sweeps against the leading
 ansatz, the Berry-phase trace around a circular interface, the dispersive
 decay probe for orthogonally polarized data, and the transport-hierarchy
-residual study.  Runs are deterministic for a fixed config and seed; every
-run writes a ``meta.txt`` record sufficient to rerun it, and tables go to
-RFC-4180 CSV.
+residual study.  No run draws random numbers; every run writes a
+``meta.txt`` record sufficient to rerun it, and tables go to RFC-4180 CSV.
 """
 
 from __future__ import annotations
@@ -515,7 +514,8 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
                [[m, _fmt(float(t)), _fmt(f.slope), _fmt((m + 2) / 2.0), _fmt(f.ci_low), _fmt(f.ci_high)]
                 for (m, t), f in sorted(fits.items())])
 
-    extra = [f"solvability residual max = {solver.max_solvability_residual()!r}" if solver else "order 0 only"]
+    extra = [f"solvability residual max = {solver.max_solvability_residual()!r}",
+             f"truncation health max = {solver.truncation_max!r}"] if solver else ["order 0 only"]
     evolve_fits = {}
     if cfg.get("hierarchy.evolve_check"):
         T = times[-1]
@@ -616,7 +616,7 @@ def run_check_suite():
     # first corrector against the circular-interface closed forms
     circ = CircleWall((1.0,))
     traj = integrate_trajectory(circ, np.array([1.0, 0.0]), 0.5, 1e-3)
-    solver = CorrectorSolver(GaussianProfile(), traj, grid=hermite.X1Grid(128, 12.0), n_hermite=32)
+    solver = CorrectorSolver(GaussianProfile(), traj, grid=hermite.X1Grid(128, 12.0))
     i = traj.index_at(0.5)
     f1 = solver.f1_values(i)
     expected = 0.5 * (2 * grid.x - grid.x**3) * np.exp(-0.5 * grid.x**2) * traj.Theta[i]

@@ -14,9 +14,10 @@ diagonal after an FFT in x1, and per Fourier-Hermite mode L reduces to the
 the n = 0 band of the first component, which carries the propagating profile;
 the inverse on the orthogonal complement is the per-mode matrix inverse.
 
-Multiplication by polynomials (the Taylor coefficients of the wall) stays
-exact in the truncated basis apart from top-band leakage, which is monitored
-through ``truncation_health``.
+Multiplication by a polynomial of degree d in x2 raises the band by at most
+d, so the hierarchy derives its band count from the polynomial degrees
+(``hierarchy.N_BANDS``) and stays exact: it raises ``SolverError`` unless
+``truncation_health``, the weight in the top two bands, is exactly zero.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from scipy import fft as sfft
 
 __all__ = [
+    "SolverError",
     "X1Grid",
     "HermiteAmplitude",
     "hermite_functions",
@@ -43,6 +45,10 @@ __all__ = [
 ]
 
 _KERNEL_NORM = np.sqrt(2.0) * np.pi**0.25  # band-0 coefficient of e^{-x2^2/2} [1, -1]
+
+
+class SolverError(RuntimeError):
+    """Numerical failure: Krylov non-convergence, norm drift, or Hermite band truncation."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,9 +102,6 @@ class HermiteAmplitude:
     def norm(self):
         """L2 norm of the reconstructed field (Parseval in the (x1, n) coefficients)."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.dx))
-
-    def inner(self, other):
-        return complex(np.sum(np.conj(self.coeffs) * other.coeffs) * self.grid.dx)
 
     def truncation_health(self):
         """Fraction of the squared norm in the top two oscillator bands."""
@@ -365,21 +368,21 @@ def trig_interp_matrix(grid: X1Grid, points):
 
     result = M @ fft(values) with M of shape (len(points), N1); spectrally
     accurate for smooth decaying data.  The phase references the grid origin
-    at -half_extent, where sample index 0 lives.
+    at -half_extent, where sample index 0 lives.  M.T is C-contiguous.
     """
     points = np.asarray(points, dtype=float)
     n = grid.n
-    # columns are powers of the base phase: build by cumulative product, with
+    # rows are powers of the base phase: build by cumulative product, with
     # negative frequencies as conjugates (exp() per entry would dominate)
     base = np.exp(1j * (points + grid.half_extent) * (np.pi / grid.half_extent))
-    M = np.empty((points.size, n), dtype=complex)
-    M[:, 0] = 1.0 / n
+    Mt = np.empty((n, points.size), dtype=complex)
+    Mt[0] = 1.0 / n
     half = n // 2
     for m in range(1, half + 1):
-        M[:, m] = M[:, m - 1] * base
-    np.conj(M[:, half], out=M[:, half])  # the unpaired mode carries frequency -n/2
-    M[:, half + 1 :] = np.conj(M[:, half - 1 : 0 : -1])
-    return M
+        np.multiply(Mt[m - 1], base, out=Mt[m])
+    np.conj(Mt[half], out=Mt[half])  # the unpaired mode carries frequency -n/2
+    np.conj(Mt[half - 1 : 0 : -1], out=Mt[half + 1 :])
+    return Mt.T
 
 
 def eval_on_points(values, grid: X1Grid, points, chunk=8192):

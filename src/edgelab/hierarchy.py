@@ -33,7 +33,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import hermite
-from .hermite import HermiteAmplitude, X1Grid
+from .hermite import HermiteAmplitude, SolverError, X1Grid
 from .profiles import Profile
 
 __all__ = [
@@ -46,11 +46,17 @@ __all__ = [
     "sample_order0",
     "ansatz_residual",
     "DEFAULT_X1_GRID",
-    "DEFAULT_N_HERMITE",
+    "N_BANDS",
 ]
 
 DEFAULT_X1_GRID = X1Grid(n=256, half_extent=12.0)
-DEFAULT_N_HERMITE = 64
+# Oscillator bands of every hierarchy amplitude, from the polynomial degrees:
+# a0 sits in band 0; T1 (frame generator, quadratic Taylor term) raises the
+# band by at most 2, T2 (cubic Taylor term) by at most 3, and invert_L shifts
+# it by +-1.  So b1 = L^-1 T1 a0 fills bands 0-3 and b2 = L^-1 (T1 b1 + T2 a0
+# + T1 K f1) fills bands 0-6: 7 bands, plus 2 guard bands that
+# truncation_health reads and that must stay exactly zero.
+N_BANDS = 9
 
 _KERNEL_TRANSPORT = np.pi**0.25 / np.sqrt(2.0 * np.pi)  # kernel band -> D_t f factor
 
@@ -139,15 +145,15 @@ def apply_T2(a: HermiteAmplitude, ctx: FrameContext) -> HermiteAmplitude:
 # -- leading amplitude ---------------------------------------------------------
 
 
-def build_leading_amplitude(profile, ctx: FrameContext, grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE):
+def build_leading_amplitude(profile, ctx: FrameContext, grid=DEFAULT_X1_GRID):
     """Canonical coefficients of the kernel state with profile f: all weight in band 0."""
     f_vals = profile(grid.x / np.sqrt(ctx.r))
-    return hermite.kernel_amplitude(f_vals, grid, n_hermite, r=ctx.r)
+    return hermite.kernel_amplitude(f_vals, grid, N_BANDS, r=ctx.r)
 
 
-def leading_dt_coeffs(profile: Profile, ctx: FrameContext, grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE):
+def leading_dt_coeffs(profile: Profile, ctx: FrameContext, grid=DEFAULT_X1_GRID):
     """Explicit d/dt of the leading coefficients through r_t (profile itself is static)."""
-    out = HermiteAmplitude.zeros(grid, n_hermite)
+    out = HermiteAmplitude.zeros(grid, N_BANDS)
     if ctx.r_dot == 0.0:
         return out
     u = grid.x / np.sqrt(ctx.r)
@@ -156,13 +162,13 @@ def leading_dt_coeffs(profile: Profile, ctx: FrameContext, grid=DEFAULT_X1_GRID,
     return out
 
 
-def _kernel_coeffs_from_values(f_vals_profile_var, ctx, grid, n_hermite):
+def _kernel_coeffs_from_values(f_vals_profile_var, ctx, grid):
     """Embed profile samples (profile variable, on grid.x) at gradient scale r."""
     vals = hermite.eval_on_points(f_vals_profile_var, grid, grid.x / np.sqrt(ctx.r))
-    return hermite.kernel_amplitude(vals, grid, n_hermite, r=ctx.r)
+    return hermite.kernel_amplitude(vals, grid, N_BANDS, r=ctx.r)
 
 
-def _kernel_dt_coeffs_from_values(f_vals, dtf_vals, ctx, grid, n_hermite):
+def _kernel_dt_coeffs_from_values(f_vals, dtf_vals, ctx, grid):
     """d/dt of the embedded kernel state when the profile itself depends on t."""
     u = grid.x / np.sqrt(ctx.r)
     f_u = hermite.eval_on_points(f_vals, grid, u)
@@ -172,9 +178,31 @@ def _kernel_dt_coeffs_from_values(f_vals, dtf_vals, ctx, grid, n_hermite):
     band = ctx.r**0.25 * (
         dtf_u + (ctx.r_dot / (4.0 * ctx.r)) * f_u - (ctx.r_dot / (2.0 * ctx.r)) * u * fp_u
     )
-    out = HermiteAmplitude.zeros(grid, n_hermite)
+    out = HermiteAmplitude.zeros(grid, N_BANDS)
     out.coeffs[0, :, 0] = hermite._KERNEL_NORM * band
     return out
+
+
+def _require_untruncated(amp: HermiteAmplitude, name):
+    """truncation_health of a corrector; raises SolverError unless it is exactly 0."""
+    health = amp.truncation_health()
+    if health > 0.0:
+        raise SolverError(f"{name} carries {health:.2e} of its weight in the top two of "
+                          f"{amp.n_hermite} Hermite bands: the band count is too small")
+    return health
+
+
+def _time_derivative(b, i, n, dt):
+    """d/dt at sample i of n from b(k): central inside, one-sided second order at the ends."""
+    if n == 1:
+        return b(i) * 0.0
+    if n == 2:
+        return (b(1) - b(0)) * (1.0 / dt)
+    if 0 < i < n - 1:
+        return (b(i + 1) - b(i - 1)) * (1.0 / (2.0 * dt))
+    if i == 0:
+        return (-3.0 * b(0) + 4.0 * b(1) - b(2)) * (1.0 / (2.0 * dt))
+    return (3.0 * b(i) - 4.0 * b(i - 1) + b(i - 2)) * (1.0 / (2.0 * dt))
 
 
 # -- corrector solver ----------------------------------------------------------
@@ -188,47 +216,35 @@ class CorrectorSolver:
     kernel-band transport equation for f1 (trapezoid rule, f1(0) = 0).  The
     per-sample kernel component of the b1 source is recorded: it must vanish
     up to discretization (the solvability identity), so its size diagnoses
-    frame or derivative inconsistencies.
+    frame or derivative inconsistencies.  Any weight of b1 or b2 in the top
+    two Hermite bands raises SolverError.
     """
 
-    def __init__(self, profile: Profile, traj, grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE,
-                 solvability_tol=1e-6):
+    def __init__(self, profile: Profile, traj, grid=DEFAULT_X1_GRID, solvability_tol=1e-6):
         self.profile = profile
         self.traj = traj
         self.grid = grid
-        self.n_hermite = n_hermite
         self.solvability_tol = solvability_tol
         n = len(traj)
         self._H = traj.wall.hessian(traj.y)
         self._T = traj.wall.third(traj.y)
         self._ctx = [frame_context(traj, i, self._H[i], self._T[i]) for i in range(n)]
 
-        # streaming pass: b1 with a 3-sample window, f1 by trapezoid
+        # streaming pass: b1 with a 3-sample window, f1 by trapezoid; sample j
+        # is finished once the window holds its whole difference stencil
         dt = traj.dt
-        b1_window = {}
+        window = {}
         dtf1 = np.zeros((n, grid.n), dtype=complex)
         solv = np.zeros(n)
+        self.truncation_max = 0.0
+        done = 0
         for i in range(n):
-            b1_window[i] = self._solve_b1(i, solv)
-            if i >= 2:
-                j = i - 1
-                dtb1 = (b1_window[i] - b1_window[j - 1]) * (1.0 / (2.0 * dt))
-                dtf1[j] = self._dtf1_at(j, b1_window[j], dtb1)
-                del b1_window[j - 1]
-        if n >= 3:
-            d0 = (-3.0 * self._b1_cached(0, b1_window) + 4.0 * self._b1_cached(1, b1_window)
-                  - self._b1_cached(2, b1_window)) * (1.0 / (2.0 * dt))
-            dtf1[0] = self._dtf1_at(0, self._b1_cached(0, b1_window), d0)
-            dlast = (3.0 * b1_window[n - 1] - 4.0 * b1_window[n - 2] + self._b1_cached(n - 3, b1_window)) * (
-                1.0 / (2.0 * dt)
-            )
-            dtf1[n - 1] = self._dtf1_at(n - 1, b1_window[n - 1], dlast)
-        elif n == 2:
-            d = (b1_window[1] - b1_window[0]) * (1.0 / dt)
-            dtf1[0] = self._dtf1_at(0, b1_window[0], d)
-            dtf1[1] = self._dtf1_at(1, b1_window[1], d)
-        elif n == 1:
-            dtf1[0] = self._dtf1_at(0, b1_window[0], b1_window[0] * 0.0)
+            window[i] = self._solve_b1(i, solv)
+            window.pop(i - 3, None)
+            self.truncation_max = max(self.truncation_max, _require_untruncated(window[i], "b1"))
+            while done < n and min(n - 1, max(done + 1, 2)) <= i:
+                dtf1[done] = self._dtf1_at(done, window[done], _time_derivative(window.get, done, n, dt))
+                done += 1
 
         self.dtf1 = dtf1
         self.solvability = solv
@@ -243,23 +259,18 @@ class CorrectorSolver:
             np.cumsum(0.5 * dt * (dtf1[1:] + dtf1[:-1]), axis=0, out=self.f1[1:])
         self._b1_lru = {}
 
-    def _b1_cached(self, i, window):
-        if i in window:
-            return window[i]
-        return self._solve_b1(i, None)
-
     # -- per-sample pieces
 
     def context(self, i) -> FrameContext:
         return self._ctx[i]
 
     def leading(self, i) -> HermiteAmplitude:
-        return build_leading_amplitude(self.profile, self._ctx[i], self.grid, self.n_hermite)
+        return build_leading_amplitude(self.profile, self._ctx[i], self.grid)
 
     def _t1_a0(self, i) -> HermiteAmplitude:
         ctx = self._ctx[i]
         a0 = self.leading(i)
-        dt0 = leading_dt_coeffs(self.profile, ctx, self.grid, self.n_hermite)
+        dt0 = leading_dt_coeffs(self.profile, ctx, self.grid)
         return apply_T1(a0, dt0, ctx)
 
     def _solve_b1(self, i, solv_out):
@@ -280,19 +291,7 @@ class CorrectorSolver:
         return self._b1_lru[i]
 
     def _dtb1(self, i) -> HermiteAmplitude:
-        n = len(self.traj)
-        dt = self.traj.dt
-        if n == 1:
-            return self.b1(i) * 0.0
-        if 0 < i < n - 1:
-            return (self.b1(i + 1) - self.b1(i - 1)) * (1.0 / (2.0 * dt))
-        if i == 0:
-            if n >= 3:
-                return (-3.0 * self.b1(0) + 4.0 * self.b1(1) - self.b1(2)) * (1.0 / (2.0 * dt))
-            return (self.b1(1) - self.b1(0)) * (1.0 / dt)
-        if n >= 3:
-            return (3.0 * self.b1(i) - 4.0 * self.b1(i - 1) + self.b1(i - 2)) * (1.0 / (2.0 * dt))
-        return (self.b1(i) - self.b1(i - 1)) * (1.0 / dt)
+        return _time_derivative(self.b1, i, len(self.traj), self.traj.dt)
 
     def _beta1_from(self, i, b1_i, dtb1_i) -> HermiteAmplitude:
         ctx = self._ctx[i]
@@ -317,28 +316,26 @@ class CorrectorSolver:
         """f1 at sample i, in the profile variable, on the x1 grid."""
         return self.f1[i]
 
-    def a1(self, i) -> HermiteAmplitude:
-        k = _kernel_coeffs_from_values(self.f1[i], self._ctx[i], self.grid, self.n_hermite)
-        return self.b1(i) + k
-
     def b2(self, i) -> HermiteAmplitude:
         """Second corrector: one more inversion of beta1 - T1 (kernel f1 state)."""
         ctx = self._ctx[i]
-        kf1 = _kernel_coeffs_from_values(self.f1[i], ctx, self.grid, self.n_hermite)
-        dt_kf1 = _kernel_dt_coeffs_from_values(self.f1[i], self.dtf1[i], ctx, self.grid, self.n_hermite)
+        kf1 = _kernel_coeffs_from_values(self.f1[i], ctx, self.grid)
+        dt_kf1 = _kernel_dt_coeffs_from_values(self.f1[i], self.dtf1[i], ctx, self.grid)
         src = HermiteAmplitude(
             self.grid, self.beta1(i).coeffs - apply_T1(kf1, dt_kf1, ctx).coeffs
         )
         _, projected = hermite.kernel_project(src)
-        return hermite.invert_L(projected) * (1.0 / np.sqrt(ctx.r))
+        b2 = hermite.invert_L(projected) * (1.0 / np.sqrt(ctx.r))
+        _require_untruncated(b2, "b2")
+        return b2
 
     def max_solvability_residual(self):
         return float(np.max(self.solvability)) if len(self.solvability) else 0.0
 
 
-def corrector_first_order(profile: Profile, traj, t, grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE):
+def corrector_first_order(profile: Profile, traj, t, grid=DEFAULT_X1_GRID):
     """First corrector at time t: (b1 amplitude, f1 samples in the profile variable)."""
-    solver = CorrectorSolver(profile, traj, grid, n_hermite)
+    solver = CorrectorSolver(profile, traj, grid)
     i = traj.index_at(t)
     return solver.b1(i), solver.f1_values(i)
 
@@ -390,6 +387,8 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, X
         keep = np.nonzero(band_norms > 1e-14 * total)[0]
         nh_eff = int(keep[-1]) + 1 if keep.size else 1
     vh = sfft.fft(amp.coeffs[:, :, :nh_eff], axis=1)
+    # rows ordered (band, component): one matmul gives every band's x1 values
+    vt = vh.transpose(2, 0, 1).reshape(2 * nh_eff, amp.grid.n)
     out = np.zeros((2, uf.size), dtype=complex)
     for lo in range(0, uf.size, chunk):
         sel = slice(lo, lo + chunk)
@@ -397,24 +396,23 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, X
         # outside the canonical window the amplitude is zero; the periodic
         # interpolant would alias the packet into the tails
         M[np.abs(uf[sel]) >= amp.grid.half_extent] = 0.0
-        C = np.einsum("mj,cjn->cmn", M, vh)
+        C = (vt @ M.T).reshape(nh_eff, 2, -1)
         x2v = vf[sel]
         phi_prev = np.zeros_like(x2v)
         phi = np.pi**-0.25 * np.exp(-0.5 * x2v * x2v)
-        acc = C[:, :, 0] * phi
+        acc = C[0] * phi
         for n in range(1, nh_eff):
             phi_next = np.sqrt(2.0 / n) * x2v * phi - np.sqrt((n - 1.0) / n) * phi_prev
             phi_prev, phi = phi, phi_next
-            acc += C[:, :, n] * phi
+            acc += C[n] * phi
         out[:, sel] = acc
-    out = np.einsum("dc,cm->dm", hermite._UNTILDE, out)
+    out = hermite._UNTILDE @ out
     phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
     out *= phase[:, None]
     return (out / np.sqrt(eps)).reshape((2,) + X1.shape)
 
 
-def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None,
-                    grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE):
+def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None, grid=DEFAULT_X1_GRID):
     """Sample the order-m ansatz (m in {0, 1, 2}) on a lab grid as a SpinorField.
 
     Order 0 is the closed-form kernel state; order 1 adds sqrt(eps) (b1 + K f1);
@@ -430,7 +428,7 @@ def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None,
     if solver is not None and solver.traj is not traj:
         raise ValueError("corrector solver was built over a different trajectory")
     if solver is None and order > 0:
-        solver = CorrectorSolver(profile, traj, grid, n_hermite)
+        solver = CorrectorSolver(profile, traj, grid)
     ctx = solver.context(i) if solver is not None else frame_context(traj, i)
     y = traj.y[i]
     X1, X2 = grid2d.mesh()
@@ -444,8 +442,7 @@ def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None,
     return SpinorField(grid=grid2d, data=data, time=float(t))
 
 
-def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None,
-                    grid=DEFAULT_X1_GRID, n_hermite=DEFAULT_N_HERMITE):
+def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None, grid=DEFAULT_X1_GRID):
     """Discrete residual ||(eps D_t + H) W|| of the order-m ansatz at time t.
 
     The time derivative is a central difference over +-dt_fd (defaulting to
@@ -455,13 +452,13 @@ def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=Non
     from . import evolution
 
     if solver is None and order > 0:
-        solver = CorrectorSolver(profile, traj, grid, n_hermite)
+        solver = CorrectorSolver(profile, traj, grid)
     if dt_fd is None:
         dt_fd = traj.dt
     steps = int(round(dt_fd / traj.dt))
     if steps < 1 or abs(steps * traj.dt - dt_fd) > 1e-12:
         raise ValueError("dt_fd must be a multiple of the trajectory step")
-    mk = lambda tt: assemble_ansatz(order, profile, traj, tt, grid2d, eps, solver, grid, n_hermite)
+    mk = lambda tt: assemble_ansatz(order, profile, traj, tt, grid2d, eps, solver, grid)
     w_minus = mk(t - dt_fd)
     w_0 = mk(t)
     w_plus = mk(t + dt_fd)

@@ -28,6 +28,8 @@ def test_parse_and_defaults():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("experiment.kind = evolve\nwall.shape = tanh\n")
+    with pytest.raises(ConfigError):  # no run is random, so there is no seed
+        parse_config_text("experiment.kind = evolve\nexperiment.seed = 3\n")
 
 
 def test_malformed_lines_rejected():

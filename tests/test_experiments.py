@@ -191,6 +191,16 @@ def test_run_hierarchy_check(tmp_path):
     assert fits[1][0] == "0"
 
 
+def test_run_hierarchy_check_records_health(tmp_path):
+    out = tmp_path / "hier"
+    res = run_experiment(cfg_from(HIERARCHY_CFG.replace("hierarchy.orders = 0", "hierarchy.orders = 1")),
+                         str(out))
+    assert res["fits"][(1, 0.25)].slope == pytest.approx(1.5, abs=0.2)
+    meta = (out / "meta.txt").read_text()
+    assert "solvability residual max = " in meta
+    assert "truncation health max = 0.0\n" in meta
+
+
 def test_check_suite_passes():
     checks = run_check_suite()
     assert len(checks) >= 5

@@ -250,8 +250,21 @@ def test_trig_interpolation_exact_and_masked():
     ref = np.exp(-0.5 * pts**2) * (1 + 0.3 * np.sin(pts))
     assert np.max(np.abs(got - ref)) < 1e-12
     # outside the window: zero, not the periodic alias
-    out = hermite.eval_on_points(vals, GRID, np.array([15.0, -30.0, 24.0]))
+    out = hermite.eval_on_points(vals, GRID, np.array([15.0, -30.0, 24.0, -12.0, 12.0]))
     assert np.max(np.abs(out)) == 0.0
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_trig_interp_matrix_direct_formula(n):
+    # column m is exp(i k_m (x + L)) / N; column N/2 is the Nyquist mode at -N/2
+    grid = X1Grid(n=n, half_extent=12.0)
+    pts = np.random.default_rng(n).uniform(-12.0, 12.0, 500)
+    M = hermite.trig_interp_matrix(grid, pts)
+    direct = np.exp(1j * np.outer(pts + grid.half_extent, grid.k)) / n
+    assert M.shape == (pts.size, n)
+    assert grid.k[n // 2] < 0
+    # entries have modulus 1/N; both sides round the phase to about m ulp
+    assert np.max(np.abs(M - direct)) <= 1e-13
 
 
 def test_grid_requires_power_of_two():

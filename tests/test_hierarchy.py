@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from edgelab import hermite
-from edgelab.evolution import Grid2D
+from edgelab import hermite, hierarchy
+from edgelab.evolution import Grid2D, SolverError
 from edgelab.geometry import integrate_trajectory
 from edgelab.hierarchy import (
     CorrectorSolver,
@@ -252,4 +252,36 @@ def test_b2_is_kernel_orthogonal_and_healthy(circle_solver):
     b2 = solver.b2(traj.index_at(0.5))
     f, _ = hermite.kernel_project(b2)
     assert np.max(np.abs(f)) <= 1e-10
-    assert b2.truncation_health() <= 1e-8
+    assert b2.n_hermite == hierarchy.N_BANDS
+    assert not np.any(b2.coeffs[:, :, 7:])
+    assert b2.truncation_health() == 0.0
+    assert solver.truncation_max == 0.0
+
+
+@pytest.mark.parametrize("family, params, y0", [("tanh", (), (0.0, 0.0)), ("circle", (1.0,), (1.0, 0.0))])
+def test_derived_band_count_matches_64_bands(monkeypatch, family, params, y0):
+    # b1 fills bands 0-3 and b2 bands 0-6, so widening the basis to 64 bands
+    # changes no bit of f1, b1 or b2
+    traj = integrate_trajectory(make_wall(family, params), np.array(y0), 0.1, 1e-3)
+    samples = range(len(traj))
+    lean = CorrectorSolver(GaussianProfile(), traj)
+    lean_b = [(lean.b1(i), lean.b2(i)) for i in samples]
+    nb = hierarchy.N_BANDS
+    monkeypatch.setattr(hierarchy, "N_BANDS", 64)
+    wide = CorrectorSolver(GaussianProfile(), traj)
+    assert np.array_equal(lean.f1, wide.f1)
+    for i, (b1, b2) in zip(samples, lean_b):
+        wb1, wb2 = wide.b1(i), wide.b2(i)
+        assert wb1.n_hermite == 64 and b1.n_hermite == nb
+        assert np.array_equal(b1.coeffs, wb1.coeffs[:, :, :nb])
+        assert np.array_equal(b2.coeffs, wb2.coeffs[:, :, :nb])
+        assert not np.any(wb1.coeffs[:, :, 4:]) and not np.any(wb2.coeffs[:, :, 7:])
+        assert b1.truncation_health() == 0.0 and b2.truncation_health() == 0.0
+
+
+def test_too_few_bands_raise(monkeypatch):
+    # with 4 bands the top two (2, 3) hold part of b1
+    traj = integrate_trajectory(make_wall("tanh"), np.array([0.0, 0.0]), 0.01, 1e-3)
+    monkeypatch.setattr(hierarchy, "N_BANDS", 4)
+    with pytest.raises(SolverError, match="top two of 4 Hermite bands"):
+        CorrectorSolver(GaussianProfile(), traj)
