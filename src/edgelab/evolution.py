@@ -7,10 +7,11 @@ box.  One Crank-Nicolson step solves
     (I + i dt H / (2 eps)) psi_new = (I - i dt H / (2 eps)) psi_old,
 
 a Cayley map that is exactly unitary, so the L2 norm is conserved up to the
-linear-solver tolerance.  The solve runs matrix-free GMRES in Fourier
-variables: there the free-Dirac part of the left operator is block-diagonal
-(2x2 per mode), and its exact inverse preconditions the mass perturbation,
-keeping iteration counts at O(10) even for stiff dt/eps.
+linear-solver tolerance.  The map equals 2 A^-1 - I with A = I + i dt H / (2 eps),
+so a step solves A w = 2 psi_old, by matrix-free GMRES in Fourier variables
+right-preconditioned with the free-Dirac factor (2x2 per mode) times the mass
+factor (pointwise in space); the remainder is O((dt/eps)^2), so a step takes
+a few iterations of one FFT pair each.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.linalg.blas import zgemv
 
 from .hermite import SolverError
 from .walls import DomainWall
@@ -51,12 +53,12 @@ def get_fft_workers():
     return _FFT_WORKERS
 
 
-def _fft2(a):
-    return sfft.fft2(a, axes=(-2, -1), workers=_FFT_WORKERS)
+def _fft2(a, overwrite_x=False):
+    return sfft.fft2(a, axes=(-2, -1), overwrite_x=overwrite_x, workers=_FFT_WORKERS)
 
 
-def _ifft2(a):
-    return sfft.ifft2(a, axes=(-2, -1), workers=_FFT_WORKERS)
+def _ifft2(a, overwrite_x=False):
+    return sfft.ifft2(a, axes=(-2, -1), overwrite_x=overwrite_x, workers=_FFT_WORKERS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,12 +193,18 @@ def apply_H(data, kappa, eps, grid: Grid2D):
 class CrankNicolsonStepper:
     """Matrix-free Cayley stepper for one (grid, wall, config) combination.
 
-    Works on Fourier coefficients throughout: the free-Dirac part of
-    I + i dt H/(2 eps) is a 2x2 block per mode, the mass term needs one
-    inverse/forward transform pair per operator application.  The solve is
-    restarted GMRES, right-preconditioned with the exact free-Dirac block
-    inverse, so the reported residual is the true residual of the step
-    system and iteration counts stay O(10) for bounded walls.
+    Works on Fourier coefficients throughout.  With A = I + i gamma H and
+    gamma = dt / (2 eps), the Cayley map is A^-1 (I - i gamma H) = 2 A^-1 - I,
+    so a step solves A w = 2 psi from a zero initial guess and returns
+    w - psi.  The solve is restarted GMRES, right-preconditioned with the
+    split product P = (I + i gamma H_free)(I + i gamma kappa sigma3): the
+    free-Dirac factor is a 2x2 block per mode, the mass factor is pointwise in
+    space, and E = A P^-1 - I = gamma^2 H_free kappa sigma3 P^-1 is second
+    order in gamma.  An application of E costs one inverse/forward transform
+    pair, and recovering w = P^-1 u costs one more.  The recurrence residual
+    is the true residual of the step system; it is driven below
+    krylov_tol |psi|, and since |(I - i gamma H) psi| >= |psi| that bounds the
+    relative residual of the Crank-Nicolson system by krylov_tol.
     """
 
     def __init__(self, grid: Grid2D, wall_or_kappa, config: EvolutionConfig):
@@ -216,43 +224,21 @@ class CrankNicolsonStepper:
         self._off = 0.5j * config.dt * (k1 - 1j * k2)
         self._off_c = np.conj(self._off)
         self._inv_det = 1.0 / (1.0 + 0.25 * config.dt**2 * (k1**2 + k2**2))
+        mass = 1j * self._gamma * np.stack([self.kappa, -self.kappa])
+        self._mass_inv = 1.0 / (1.0 + mass)
+        # kappa sigma3 (I + i gamma kappa sigma3)^-1, each row scaled by what turns the
+        # block it feeds (off_c, off) into that of gamma^2 H_free: +i gamma, -i gamma
+        self._remainder = mass * self._mass_inv
+        self._remainder[1] *= -1.0
         self.last_iterations = 0
         m = config.gmres_restart
         self._V = np.empty((m + 1, 2 * grid.n1 * grid.n2), dtype=complex)
         self._Hm = np.zeros((m + 1, m), dtype=complex)
-        self._cs = np.zeros(m + 1, dtype=complex)
-        self._sn = np.zeros(m + 1, dtype=complex)
-        self._g = np.zeros(m + 1, dtype=complex)
-        self._buf = np.empty((2, grid.n1, grid.n2), dtype=complex)
+        self._u = np.zeros((2, grid.n1, grid.n2), dtype=complex)
+        self._scratch = np.empty((2, grid.n1, grid.n2), dtype=complex)
 
-    def _mass_term(self, hat):
-        """i gamma F(kappa sigma3 F^-1 phi) in Fourier variables."""
-        spatial = _ifft2(hat)
-        spatial[0] *= self.kappa
-        spatial[1] *= -self.kappa
-        out = _fft2(spatial)
-        out *= 1j * self._gamma
-        return out
-
-    def _free_half(self, hat, sign):
-        """(I +- i gamma H_free) hat, blocks only."""
-        out = np.empty_like(hat)
-        np.multiply(self._off, hat[1], out=out[0])
-        np.multiply(self._off_c, hat[0], out=out[1])
-        if sign > 0:
-            np.subtract(hat[1], out[1], out=out[1])
-            out[0] += hat[0]
-        else:
-            out[1] += hat[1]
-            np.subtract(hat[0], out[0], out=out[0])
-        return out
-
-    def _apply_A(self, hat):
-        return self._free_half(hat, +1.0) + self._mass_term(hat)
-
-    def _apply_P_inv(self, hat, out=None):
-        if out is None:
-            out = np.empty_like(hat)
+    def _free_solve(self, hat, out):
+        """(I + i gamma H_free)^-1 hat into out, blockwise per mode."""
         np.multiply(self._off, hat[1], out=out[0])
         np.subtract(hat[0], out[0], out=out[0])
         out[0] *= self._inv_det
@@ -261,86 +247,97 @@ class CrankNicolsonStepper:
         out[1] *= self._inv_det
         return out
 
-    def _matvec(self, u):
-        """Right-preconditioned operator (I + mass o P^-1) u."""
-        out = self._mass_term(self._apply_P_inv(u, out=self._buf))
-        out += u
+    def _apply_E(self, u, out):
+        """(A P^-1 - I) u = gamma^2 H_free kappa sigma3 P^-1 u into out: one transform pair.
+
+        Formed directly, not as A P^-1 u - u: that difference cancels down to
+        the O(gamma^2) remainder and costs the Krylov basis its orthogonality.
+        """
+        spatial = _ifft2(self._free_solve(u, self._scratch), overwrite_x=True)
+        spatial *= self._remainder
+        z = _fft2(spatial, overwrite_x=True)
+        np.multiply(self._off, z[1], out=out[0])
+        np.multiply(self._off_c, z[0], out=out[1])
+
+    def _apply_A(self, hat):
+        """(I + i gamma H) hat: one transform pair."""
+        spatial = _ifft2(hat)
+        spatial *= self.kappa
+        out = _fft2(spatial, overwrite_x=True)
+        out[0] *= 1j * self._gamma
+        out[1] *= -1j * self._gamma
+        out[0] += hat[0] + self._off * hat[1]
+        out[1] += hat[1] - self._off_c * hat[0]
         return out
 
     def step_hat(self, hat):
         """One Cayley step on Fourier coefficients (shape (2, n1, n2))."""
         cfg = self.config
-        rhs = self._free_half(hat, -1.0) - self._mass_term(hat)
-        rhs_norm = np.linalg.norm(rhs.ravel())
-        if rhs_norm == 0.0:
+        shape = hat.shape
+        psi = hat.ravel()
+        psi_norm = np.linalg.norm(psi)
+        if psi_norm == 0.0:
             self.last_iterations = 0
-            return rhs
-        target = max(cfg.krylov_tol, 1e-15) * rhs_norm
+            return np.zeros_like(hat)
+        target = max(cfg.krylov_tol, 1e-15) * psi_norm
 
-        # GMRES on A P^-1 u = rhs (u0 = rhs); the recurrence residual is the
-        # true residual of the original system.
-        u = rhs.copy()
+        # GMRES on (I + E) u = 2 psi, E = A P^-1 - I, with u0 = 0, so r0 = 2 psi
+        # needs no transform; the Arnoldi process runs on E and Hm holds I + E
+        m = cfg.gmres_restart
+        V, Hm = self._V, self._Hm
+        u = self._u.reshape(-1)
+        np.multiply(psi, 1.0 / psi_norm, out=V[0])
+        beta = 2.0 * psi_norm
         total = 0
-        shape = rhs.shape
+        u_beta = 0.0
         while True:
-            r = rhs - self._matvec(u)
-            total += 1
-            beta = np.linalg.norm(r.ravel())
-            if beta <= target:
-                self.last_iterations = total
-                return self._apply_P_inv(u)
-            m = cfg.gmres_restart
-            V, Hm, cs, sn, g = self._V, self._Hm, self._cs, self._sn, self._g
             Hm[:] = 0.0
-            g[:] = 0.0
-            V[0] = r.ravel() / beta
-            g[0] = beta
+            resid = beta
             j = 0
-            while j < m:
-                w = self._matvec(V[j].reshape(shape)).ravel()
+            while j < m and resid > target and total < cfg.max_krylov_iter:
+                w = V[j + 1]
+                self._apply_E(V[j].reshape(shape), w.reshape(shape))
                 total += 1
-                # classical Gram-Schmidt (BLAS-bound); the outer loop re-verifies
-                # the true residual, so mild orthogonality loss is self-correcting
-                basis = V[: j + 1]
-                coeff = np.conj(basis @ np.conj(w))
-                w -= coeff @ basis
-                Hm[: j + 1, j] = coeff
-                h = np.linalg.norm(w)
-                Hm[j + 1, j] = h
+                # one pass of classical Gram-Schmidt in two BLAS calls: E v does not
+                # cancel against v, so the basis stays orthogonal
+                basis = V[: j + 1].T
+                Hm[: j + 1, j] = zgemv(1.0, basis, w, trans=2)
+                zgemv(-1.0, basis, Hm[: j + 1, j], beta=1.0, y=w, overwrite_y=True)
+                Hm[j, j] += 1.0
+                Hm[j + 1, j] = h = np.linalg.norm(w)
                 if h > 0:
-                    V[j + 1] = w / h
-                # apply stored Givens rotations, then create the new one
-                for i in range(j):
-                    t = cs[i] * Hm[i, j] + sn[i] * Hm[i + 1, j]
-                    Hm[i + 1, j] = -np.conj(sn[i]) * Hm[i, j] + np.conj(cs[i]) * Hm[i + 1, j]
-                    Hm[i, j] = t
-                denom = np.sqrt(np.abs(Hm[j, j]) ** 2 + np.abs(Hm[j + 1, j]) ** 2)
-                if denom == 0.0:
-                    j += 1
-                    break
-                cs[j] = np.conj(Hm[j, j]) / denom
-                sn[j] = np.conj(Hm[j + 1, j]) / denom
-                Hm[j, j] = denom
-                Hm[j + 1, j] = 0.0
-                g[j + 1] = -np.conj(sn[j]) * g[j]
-                g[j] = cs[j] * g[j]
+                    w *= 1.0 / h
                 j += 1
-                if np.abs(g[j]) <= target or total >= cfg.max_krylov_iter:
-                    break
+                # least-squares problem min |beta e1 - Hm y| of the Arnoldi relation
+                rhs = np.zeros(j + 1, dtype=complex)
+                rhs[0] = beta
+                y = np.linalg.lstsq(Hm[: j + 1, :j], rhs)[0]
+                resid = np.linalg.norm(Hm[: j + 1, :j] @ y - rhs)
             if j > 0:
-                y = np.zeros(j, dtype=complex)
-                for i in range(j - 1, -1, -1):
-                    y[i] = (g[i] - Hm[i, i + 1 : j] @ y[i + 1 : j]) / Hm[i, i]
-                u = u + (y @ V[:j]).reshape(shape)
-            resid = np.abs(g[j]) if j > 0 else beta
+                zgemv(1.0, V[:j].T, y, beta=u_beta, y=u, overwrite_y=True)
+                u_beta = 1.0
             if resid <= target:
-                self.last_iterations = total
-                return self._apply_P_inv(u)
+                break
             if total >= cfg.max_krylov_iter:
                 raise SolverError(
-                    f"Krylov solve failed: relative residual {resid / rhs_norm:.3e} after "
+                    f"Krylov solve failed: relative residual {resid / psi_norm:.3e} after "
                     f"{total} iterations (tolerance {cfg.krylov_tol:.1e})"
                 )
+            # restart from the true residual 2 psi - (I + E) u
+            r = V[0]
+            self._apply_E(self._u, r.reshape(shape))
+            total += 1
+            np.subtract(2.0 * psi - u, r, out=r)
+            beta = np.linalg.norm(r)
+            if beta <= target:
+                break
+            r *= 1.0 / beta
+
+        self.last_iterations = total
+        # w = P^-1 u, then psi_new = w - psi
+        spatial = _ifft2(self._free_solve(self._u, self._scratch), overwrite_x=True)
+        spatial *= self._mass_inv
+        return np.subtract(_fft2(spatial, overwrite_x=True), hat)
 
     def step(self, data):
         """Advance one Crank-Nicolson step in physical space."""
@@ -348,10 +345,14 @@ class CrankNicolsonStepper:
         return _ifft2(self.step_hat(hat))
 
     def true_residual(self, hat_new, hat_old):
-        """Relative residual of the step system, for verification passes."""
-        rhs = self._free_half(hat_old, -1.0) - self._mass_term(hat_old)
-        r = np.linalg.norm((self._apply_A(hat_new) - rhs).ravel())
-        return r / max(np.linalg.norm(rhs.ravel()), 1e-300)
+        """Relative residual of (I + i gamma H) psi_new = (I - i gamma H) psi_old.
+
+        Computed from A = I + i gamma H alone, with the right-hand side
+        written as 2 psi_old - A psi_old.
+        """
+        rhs = 2.0 * hat_old - self._apply_A(hat_old)
+        r = self._apply_A(hat_new) - rhs
+        return np.linalg.norm(r.ravel()) / max(np.linalg.norm(rhs.ravel()), 1e-300)
 
 
 @dataclasses.dataclass

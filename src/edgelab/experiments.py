@@ -71,7 +71,7 @@ def fit_loglog(x, y) -> FitResult:
     if dof > 0:
         rss = float(res[0]) if res.size else float(np.sum((ly - A @ coef) ** 2))
         sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = np.sqrt(rss / dof / sxx)
+        stderr = float(np.sqrt(rss / dof / sxx))
         tq = float(stats.t.ppf(0.975, dof))
     else:
         stderr, tq = np.inf, np.inf
@@ -612,6 +612,14 @@ def run_check_suite():
     init = SpinorField(g3, gauss[None, ...] * np.array([1.0, -1.0])[:, None, None], 0.0)
     res = evolution.evolve(init, wall, EvolutionConfig(epsilon=eps, dt=eps / 20), 10 * eps / 20)
     checks.append(("unitarity", res.norm_drift <= 1e-11, f"drift = {res.norm_drift:.2e}"))
+
+    # one step on the tanh wall: the split preconditioner leaves an O(gamma^2) remainder
+    cfg = EvolutionConfig(epsilon=eps, dt=eps / 20)
+    stepper = evolution.CrankNicolsonStepper(g3, make_wall("tanh"), cfg)
+    hat = np.fft.fft2(init.data)
+    resid = stepper.true_residual(stepper.step_hat(hat), hat)
+    checks.append(("split preconditioner", stepper.last_iterations <= 5 and resid <= cfg.krylov_tol,
+                   f"{stepper.last_iterations} iterations, residual = {resid:.2e}"))
 
     # first corrector against the circular-interface closed forms
     circ = CircleWall((1.0,))

@@ -78,9 +78,6 @@ class Trajectory:
             raise ValueError(f"time {time} is not on the trajectory sample grid (dt={self.dt})")
         return i
 
-    def y_at(self, time):
-        return self.y[self.index_at(time)]
-
 
 def project_to_interface(wall, x0, tol=1e-12, max_iter=50):
     """Project a point onto Gamma by damped Newton steps along the gradient."""
@@ -187,12 +184,6 @@ def integrate_trajectory(
     return Trajectory(
         wall=wall, dt=dt, t=ts, y=ys, theta=theta, r=r, theta_dot=theta_dot, r_dot=r_dot, Theta=Theta
     )
-
-
-def rotation_matrix(theta):
-    """Frame rotation [[cos, sin], [-sin, cos]] used throughout the frame maps."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
 
 
 def hessian_frame_residual(traj: Trajectory, x_probes) -> float:

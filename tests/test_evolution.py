@@ -90,6 +90,41 @@ def test_unitarity_invariant():
     res = evolve(init, wall, cfg, 400 * cfg.dt)
     # norm drift <= 10x Krylov tolerance per 1000 steps
     assert res.norm_drift <= 10.0 * cfg.krylov_tol
+    # guaranteed: A = I + i gamma H has singular values >= 1, so a step whose
+    # residual is <= tol |psi| moves the norm by at most tol
+    assert res.norm_drift <= res.steps * cfg.krylov_tol
+
+
+@pytest.mark.parametrize("restart", [24, 2])
+def test_step_matches_dense_cayley_solve(restart):
+    # restart = 2 sends the solve through GMRES restarts from the true residual
+    grid = Grid2D(16, 16, 3.0, 3.0)
+    eps = 0.3
+    dt = eps / 10
+    kappa = grid.wall_values(make_wall("tanh"))
+    n = 2 * 16 * 16
+    H = np.empty((n, n), dtype=complex)
+    for col in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[col] = 1.0
+        H[:, col] = apply_H(e.reshape(2, 16, 16), kappa, eps, grid).ravel()
+    gamma = dt / (2 * eps)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = np.linalg.solve(np.eye(n) + 1j * gamma * H, psi - 1j * gamma * (H @ psi))
+    stepper = CrankNicolsonStepper(grid, kappa, EvolutionConfig(epsilon=eps, dt=dt, gmres_restart=restart))
+    out = stepper.step(psi.reshape(2, 16, 16)).ravel()
+    assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def test_split_preconditioner_keeps_iterations_low():
+    # the mass factor of the preconditioner leaves an O(gamma^2) remainder
+    eps = 0.1
+    grid = Grid2D(256, 256, 4.0, 4.0)
+    stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=eps, dt=eps / 20))
+    init = thm1_gaussian(grid, eps, np.zeros(2), 0.0)
+    stepper.step(init.data)
+    assert 0 < stepper.last_iterations <= 5
 
 
 def test_time_accuracy_second_order():

@@ -191,6 +191,19 @@ def test_run_hierarchy_check(tmp_path):
     assert fits[1][0] == "0"
 
 
+def test_fit_results_are_plain_floats_in_csv(tmp_path):
+    fit = fit_loglog([0.2, 0.1, 0.05, 0.025], [0.9, 0.5, 0.26, 0.13])
+    for name in ("slope", "intercept", "stderr", "ci_low", "ci_high"):
+        assert type(getattr(fit, name)) is float, name
+    out = tmp_path / "hier"
+    run_experiment(cfg_from(HIERARCHY_CFG), str(out))
+    rows = read_rows(out / "residual_fits.csv")[1:]
+    assert rows
+    for row in rows:
+        for cell in row:
+            float(cell)
+
+
 def test_run_hierarchy_check_records_health(tmp_path):
     out = tmp_path / "hier"
     res = run_experiment(cfg_from(HIERARCHY_CFG.replace("hierarchy.orders = 0", "hierarchy.orders = 1")),
