@@ -26,7 +26,6 @@ _SCHEMA = {
     "experiment.out": ("str", "runs/out"),
     "wall.family": ("str", "tanh"),
     "wall.params": ("floats", ()),
-    "wall.backend": ("str", "analytic"),
     "wall.normalize": ("bool", False),
     "wall.tube": ("float", 0.5),
     "grid.n1": ("int", 256),

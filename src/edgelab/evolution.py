@@ -35,6 +35,7 @@ __all__ = [
     "Snapshot",
     "EvolutionResult",
     "evolve",
+    "DRIFT_ABORT",
     "overlap_diagnostics",
     "OverlapDiagnostics",
     "set_fft_workers",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _FFT_WORKERS = 1
+DRIFT_ABORT = 1e-8  # relative norm drift at which evolve stops a run
 
 
 def set_fft_workers(n):
@@ -376,13 +378,16 @@ class EvolutionResult:
 
 
 def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
-           snapshot_times=None, keep_fields=True, drift_abort=1e-8) -> EvolutionResult:
+           snapshot_times=None, on_snapshot=None) -> EvolutionResult:
     """Run Crank-Nicolson steps to t_end with snapshots at the requested times.
 
-    Snapshot times are rounded to the nearest step.  Every snapshot records
-    time, L2 norm and the center of mass of |psi|^2 (plus the field itself
-    unless ``keep_fields`` is off).  The run aborts if the relative norm
-    drift exceeds ``drift_abort``.
+    Snapshot times are rounded to the nearest step; t = 0 and t_end are always
+    taken.  Every snapshot records time, L2 norm and the center of mass of
+    |psi|^2.  ``on_snapshot(snap)`` is called at each snapshot, in time order
+    while the run goes on, with ``snap.field`` holding the field (the last one
+    is ``result.final``); the snapshots of the result keep no field, so memory
+    does not grow with their number.  The run aborts if the relative norm
+    drift exceeds DRIFT_ABORT.
     """
     grid = initial.grid
     grid.check_resolution(config.epsilon)
@@ -391,15 +396,12 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
         raise ValueError("t_end must be an integer multiple of dt")
 
     stepper = CrankNicolsonStepper(grid, wall, config)
-    want = set()
-    if snapshot_times is not None:
-        for t in snapshot_times:
-            idx = int(round(t / config.dt))
-            if idx < 0 or idx > n_steps:
-                raise ValueError(f"snapshot time {t} outside the run")
-            want.add(idx)
-    want.add(0)
-    want.add(n_steps)
+    want = {0, n_steps}
+    for t in snapshot_times if snapshot_times is not None else ():
+        idx = int(round(t / config.dt))
+        if idx < 0 or idx > n_steps:
+            raise ValueError(f"snapshot time {t} outside the run")
+        want.add(idx)
 
     hat = _fft2(initial.data.astype(complex, copy=True))
     hat_scale = grid.dA / (grid.n1 * grid.n2)  # Parseval factor for norms in Fourier space
@@ -412,13 +414,12 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
 
     def record(idx, h):
         f = SpinorField(grid, _ifft2(h), t0 + idx * config.dt)
-        snaps.append(
-            Snapshot(time=f.time, norm=f.norm(), center_of_mass=f.center_of_mass(),
-                     field=f if keep_fields else None)
-        )
+        snaps.append(Snapshot(time=f.time, norm=f.norm(), center_of_mass=f.center_of_mass()))
+        if on_snapshot is not None:
+            on_snapshot(dataclasses.replace(snaps[-1], field=f))
+        return f
 
-    if 0 in want:
-        record(0, hat)
+    final = record(0, hat)
     for i in range(1, n_steps + 1):
         hat_old = hat
         hat = stepper.step_hat(hat)
@@ -429,12 +430,11 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
                 raise SolverError(f"step residual {rel:.3e} above tolerance at step {i}")
         nrm = float(np.sqrt(np.sum(np.abs(hat) ** 2) * hat_scale))
         drift = max(drift, abs(nrm - norm0) / norm_denom)
-        if drift > drift_abort:
-            raise SolverError(f"norm drift {drift:.3e} exceeded {drift_abort:.1e} at step {i}")
+        if drift > DRIFT_ABORT:
+            raise SolverError(f"norm drift {drift:.3e} exceeded {DRIFT_ABORT:.1e} at step {i}")
         if i in want:
-            record(i, hat)
+            final = record(i, hat)
 
-    final = SpinorField(grid, _ifft2(hat), t0 + n_steps * config.dt)
     return EvolutionResult(
         snapshots=snaps, final=final, norm_drift=drift, steps=n_steps,
         max_krylov_iterations=max_iters,

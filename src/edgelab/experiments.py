@@ -22,10 +22,10 @@ from scipy import stats
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
 from .evolution import EvolutionConfig, Grid2D, SpinorField
-from .geometry import integrate_trajectory, project_to_interface, trajectory_to_csv
+from .geometry import ProjectionError, integrate_trajectory, project_to_interface, trajectory_to_csv
 from .hierarchy import CorrectorSolver, assemble_ansatz, frame_context
 from .profiles import make_profile
-from .walls import check_transversality, make_wall, normalize_wall
+from .walls import TransversalityError, check_transversality, make_wall, normalize_wall
 
 __all__ = [
     "FitResult",
@@ -109,22 +109,46 @@ class ErrorTable:
 
 
 def _build_wall(cfg: ExperimentConfig):
-    wall = make_wall(cfg.get("wall.family"), cfg.get("wall.params"), backend=cfg.get("wall.backend"))
+    wall = make_wall(cfg.get("wall.family"), cfg.get("wall.params"))
     if cfg.get("wall.normalize"):
         wall = normalize_wall(wall, cfg.get("wall.tube"))
     return wall
 
 
-def _aligned_dts(eps, cfg, t_end):
-    """Evolution step from the dt rule; trajectory step dividing it, near 1e-3 arclength."""
+def _prepare(cfg: ExperimentConfig, wall, y0, eps, t_end, truncate=False):
+    """Solver settings, trajectory step, reference trajectory and lab grid of one evolution.
+
+    The evolution step follows the dt rule, adjusted to divide t_end; the
+    trajectory step divides it and sits near 1e-3 arclength.  With
+    ``truncate`` a degenerate interface point halves the trajectory span until
+    it integrates, instead of failing the run.
+    """
     dt_evol = parse_dt_rule(cfg.get("evolve.dt_rule"), eps)
-    n_steps = max(1, int(round(t_end / dt_evol)))
-    dt_evol = t_end / n_steps
+    dt_evol = t_end / max(1, int(round(t_end / dt_evol)))
     target = cfg.get("traj.dt")
     if target <= 0:
         target = min(1e-3 * max(t_end, 1.0), dt_evol)
-    k = max(1, int(round(dt_evol / target)))
-    return dt_evol, dt_evol / k
+    dt_traj = dt_evol / max(1, int(round(dt_evol / target)))
+    span = t_end
+    while True:
+        try:
+            traj = integrate_trajectory(wall, y0, round(span / dt_traj) * dt_traj, dt_traj)
+            break
+        except (TransversalityError, ProjectionError):
+            span /= 2.0
+            if not truncate or round(span / dt_traj) < 2:
+                raise
+    ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
+                         max_krylov_iter=cfg.get("evolve.max_krylov"))
+    return ec, dt_traj, traj, _grid_for(cfg, traj, eps)
+
+
+def _traj_index(traj, dt_traj, t):
+    """Trajectory sample at snapshot time t, or None past the end of a truncated trajectory."""
+    t_snap = round(t / dt_traj) * dt_traj
+    if t_snap > traj.t[-1] + dt_traj / 2:
+        return None
+    return traj.index_at(min(t_snap, traj.t[-1]), tol=dt_traj)
 
 
 def _grid_for(cfg: ExperimentConfig, traj, eps):
@@ -139,15 +163,16 @@ def auto_grid(traj_points, eps, margin_widths=5.0, min_n=128, max_n=1024):
     pts = np.asarray(traj_points, dtype=float)
     w = np.sqrt(eps)
     reach = float(np.max(np.abs(pts))) + margin_widths * w + 4.0 * w
-    half = 0.5 * np.ceil(2.0 * reach)
+    half = 0.5 * float(np.ceil(2.0 * reach))
     n = min_n
     while half * 2.0 / n > w / 4.0 and n < max_n:
         n *= 2
     return Grid2D(n1=n, n2=n, l1=half, l2=half)
 
 
-def _initial_field(cfg, kind, profile, traj, grid, eps, solver=None):
+def _initial_field(cfg, profile, traj, grid, eps, solver=None):
     """Initial data on the grid: ansatz, isotropic Gaussian, orthogonal, or spinor mix."""
+    kind = cfg.get("init.kind")
     ctx = frame_context(traj, 0)
     y0 = traj.y[0]
     if kind == "ansatz":
@@ -210,21 +235,6 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_up_to(wall, y0, t_end, dt):
-    """Integrate as far as transversality allows (degenerate walls truncate)."""
-    from .walls import TransversalityError
-    from .geometry import ProjectionError
-
-    span = t_end
-    while True:
-        try:
-            return integrate_trajectory(wall, y0, round(span / dt) * dt, dt), span < t_end
-        except (TransversalityError, ProjectionError):
-            span /= 2.0
-            if round(span / dt) < 2:
-                raise
-
-
 def run_evolve(cfg: ExperimentConfig, out_dir):
     """Plain evolution with snapshot diagnostics (and optional field dumps).
 
@@ -235,47 +245,45 @@ def run_evolve(cfg: ExperimentConfig, out_dir):
     eps = cfg.get("evolve.epsilon")
     t_end = cfg.get("evolve.t_end")
     wall = _build_wall(cfg)
-    dt_evol, dt_traj = _aligned_dts(eps, cfg, t_end)
     y0 = project_to_interface(wall, cfg.y0())
-    traj, truncated = _trajectory_up_to(wall, y0, t_end, dt_traj)
-    grid = _grid_for(cfg, traj, eps)
+    ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end, truncate=True)
+    truncated = bool(traj.t[-1] < t_end - dt_traj / 2)
     profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
     solver = None
     if cfg.get("init.kind") == "ansatz" and cfg.get("init.order") > 0:
         solver = CorrectorSolver(profile, traj)
-    initial = _initial_field(cfg, cfg.get("init.kind"), profile, traj, grid, eps, solver)
-
-    n_snap = max(2, cfg.get("evolve.snapshots"))
-    times = np.linspace(0.0, t_end, n_snap)
-    ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                         max_krylov_iter=cfg.get("evolve.max_krylov"))
-    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times)
+    initial = _initial_field(cfg, profile, traj, grid, eps, solver)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for snap in result.snapshots:
-        t_snap = round(snap.time / dt_traj) * dt_traj
-        if t_snap <= traj.t[-1] + dt_traj / 2:
-            y_t = traj.y[traj.index_at(min(t_snap, traj.t[-1]), tol=dt_traj)]
+
+    def on_snapshot(snap):
+        idx = _traj_index(traj, dt_traj, snap.time)
+        if idx is not None:
+            y_t = traj.y[idx]
             dist = float(np.hypot(*(snap.center_of_mass - y_t)))
             ref = [_fmt(float(y_t[0])), _fmt(float(y_t[1])), _fmt(dist)]
         else:
             ref = ["", "", ""]  # trajectory truncated at a degenerate point
         rows.append([_fmt(float(snap.time)), _fmt(snap.norm),
                      _fmt(float(snap.center_of_mass[0])), _fmt(float(snap.center_of_mass[1]))] + ref)
-        if snap.field is not None and cfg.get("evolve.save_fields"):
+        if cfg.get("evolve.save_fields"):
             snapshots.write_snapshot(os.path.join(out_dir, f"field_{snap.time:011.6f}.desl"), snap.field, eps)
-        if snap.field is not None and cfg.get("evolve.heatmaps"):
+        if cfg.get("evolve.heatmaps"):
             snapshots.export_pgm(os.path.join(out_dir, f"density_{snap.time:011.6f}.pgm"), snap.field)
+
+    times = np.linspace(0.0, t_end, max(2, cfg.get("evolve.snapshots")))
+    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
     _csv_write(os.path.join(out_dir, "evolution.csv"),
                ["t", "norm", "com1", "com2", "y1", "y2", "com_to_interface"], rows)
     trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     meta = _wall_check_lines(wall, traj) + [
-        f"dt = {dt_evol!r}, trajectory dt = {dt_traj!r}, grid = {grid}",
+        f"dt = {ec.dt!r}, trajectory dt = {dt_traj!r}, grid = {grid}",
         f"norm drift = {result.norm_drift!r}, max krylov iterations = {result.max_krylov_iterations}",
     ]
     if truncated:
-        meta.append(f"reference trajectory truncated at t = {traj.t[-1]!r} (degenerate interface point)")
+        meta.append(f"reference trajectory truncated at t = {float(traj.t[-1])!r} "
+                    "(degenerate interface point)")
     _write_meta(out_dir, cfg, meta)
     return {"norm_drift": result.norm_drift, "rows": rows, "trajectory_truncated": truncated}
 
@@ -294,31 +302,26 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
     rows = []
     drift = 0.0
     meta_extra = []
-    traj_for_meta = None
     for eps in eps_list:
-        dt_evol, dt_traj = _aligned_dts(eps, cfg, t_end)
-        traj = integrate_trajectory(wall, y0, t_end, dt_traj)
-        traj_for_meta = traj
-        grid = _grid_for(cfg, traj, eps)
+        ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
         solver = None
         if cfg.get("scaling.order") > 0 or cfg.get("init.order") > 0:
             solver = CorrectorSolver(profile, traj)
-        initial = _initial_field(cfg, cfg.get("init.kind"), profile, traj, grid, eps, solver)
+        initial = _initial_field(cfg, profile, traj, grid, eps, solver)
         norm0 = initial.norm()
-        ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                             max_krylov_iter=cfg.get("evolve.max_krylov"))
-        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times)
-        drift = max(drift, result.norm_drift)
-        for snap in result.snapshots:
-            t_snap = round(snap.time / dt_traj) * dt_traj
-            if not any(abs(snap.time - t) < dt_evol / 2 for t in times):
-                continue
-            idx = traj.index_at(t_snap, tol=dt_traj)
+
+        def on_snapshot(snap):
+            if not any(abs(snap.time - t) < ec.dt / 2 for t in times):
+                return
+            idx = _traj_index(traj, dt_traj, snap.time)
             ref = assemble_ansatz(0, profile, traj, traj.t[idx], grid, eps)
             diag = evolution.overlap_diagnostics(snap.field, ref, traj.y[idx], norm_ref=norm0)
             rows.append((eps, float(snap.time), diag.l2_error, diag.relative_error,
                          diag.center_offset, float(traj.Theta[idx])))
-        meta_extra.append(f"eps = {eps!r}: dt = {dt_evol!r}, grid = {grid}, drift = {result.norm_drift!r}")
+
+        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
+        drift = max(drift, result.norm_drift)
+        meta_extra.append(f"eps = {eps!r}: dt = {ec.dt!r}, grid = {grid}, drift = {result.norm_drift!r}")
 
     fits = {}
     for t in times:
@@ -336,8 +339,7 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
         [[repr(float(t)), repr(f.slope), repr(f.intercept), repr(f.stderr),
           repr(f.ci_low), repr(f.ci_high), f.n] for t, f in sorted(fits.items())],
     )
-    _write_meta(out_dir, cfg, _wall_check_lines(wall, traj_for_meta)
-                + meta_extra + [f"max norm drift = {drift!r}"])
+    _write_meta(out_dir, cfg, _wall_check_lines(wall, traj) + meta_extra + [f"max norm drift = {drift!r}"])
     return table
 
 
@@ -346,6 +348,8 @@ def run_berry(cfg: ExperimentConfig, out_dir):
 
     One trace per configured radius; the total unwrapped phase after a full
     revolution is the Berry-phase measurement (theory: -pi for one turn).
+    The trace stops at the first snapshot whose packet has left the interface
+    tube; the evolution still runs to the end.
     """
     eps = cfg.get("evolve.epsilon")
     radii = cfg.get("berry.radii")
@@ -353,49 +357,45 @@ def run_berry(cfg: ExperimentConfig, out_dir):
         params = cfg.get("wall.params")
         radii = (params[0] if params else 1.0,)
     revolutions = cfg.get("berry.revolutions")
+    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
     results = {}
     os.makedirs(out_dir, exist_ok=True)
     meta_extra = []
     for radius in radii:
         wall = make_wall("circle", (radius,))
         t_end = 2.0 * np.pi * radius * revolutions
-        dt_evol, dt_traj = _aligned_dts(eps, cfg, t_end)
         y0 = project_to_interface(wall, np.array([radius, 0.0]))
-        traj = integrate_trajectory(wall, y0, t_end, dt_traj)
-        grid = _grid_for(cfg, traj, eps)
-        profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-        initial = _initial_field(cfg, cfg.get("init.kind"), profile, traj, grid, eps)
-        times = np.linspace(0.0, t_end, max(8, cfg.get("berry.snapshots")))
-        ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                             max_krylov_iter=cfg.get("evolve.max_krylov"))
-        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times)
-
+        ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
+        initial = _initial_field(cfg, profile, traj, grid, eps)
         raw, thetas, snap_t, decohered = [], [], [], False
-        for snap in result.snapshots:
-            t_snap = round(snap.time / dt_traj) * dt_traj
-            idx = traj.index_at(t_snap, tol=dt_traj)
+
+        def on_snapshot(snap):
+            nonlocal decohered
+            if decohered:
+                return
+            idx = _traj_index(traj, dt_traj, snap.time)
             y_t = traj.y[idx]
             if float(np.hypot(*(snap.center_of_mass - y_t))) > 4.0 * np.sqrt(eps):
                 decohered = True
-                break
+                return
             diag = evolution.overlap_diagnostics(snap.field, snap.field, y_t)
             raw.append(diag.phase_at_center)
             thetas.append(traj.theta[idx] - traj.theta[0])
             snap_t.append(snap.time)
+
+        times = np.linspace(0.0, t_end, max(8, cfg.get("berry.snapshots")))
+        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
         phases = np.unwrap(np.asarray(raw))
         phases -= phases[0]
+        total = float(phases[-1])
         rows = [[_fmt(float(t)), _fmt(float(p)), _fmt(float(-0.5 * th))]
                 for t, p, th in zip(snap_t, phases, thetas)]
         _csv_write(os.path.join(out_dir, f"phase_r{radius:g}.csv"),
                    ["t", "phase", "predicted_minus_theta_over_2"], rows)
-        results[radius] = {
-            "total_phase": float(phases[-1]),
-            "decohered": decohered,
-            "norm_drift": result.norm_drift,
-        }
+        results[radius] = {"total_phase": total, "decohered": decohered, "norm_drift": result.norm_drift}
         meta_extra.extend(_wall_check_lines(wall, traj))
         meta_extra.append(
-            f"radius {radius!r}: dt = {dt_evol!r}, grid = {grid}, total phase = {phases[-1]!r}, "
+            f"radius {radius!r}: dt = {ec.dt!r}, grid = {grid}, total phase = {total!r}, "
             f"drift = {result.norm_drift!r}"
             + (" (partial trace: packet left the interface tube)" if decohered else "")
         )
@@ -413,13 +413,10 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
     eps = cfg.get("evolve.epsilon")
     t_end = cfg.get("evolve.t_end")
     wall = _build_wall(cfg)
-    dt_evol, dt_traj = _aligned_dts(eps, cfg, t_end)
     y0 = project_to_interface(wall, cfg.y0())
-    traj = integrate_trajectory(wall, y0, t_end, dt_traj)
-    grid = _grid_for(cfg, traj, eps)
+    ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
     profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    kind = cfg.get("init.kind")
-    initial = _initial_field(cfg, kind, profile, traj, grid, eps)
+    initial = _initial_field(cfg, profile, traj, grid, eps)
 
     # lambda1: component of the initial spinor along the propagating direction
     ctx0 = frame_context(traj, 0)
@@ -429,20 +426,17 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
     alpha = initial.data[:, i1, i2] * np.sqrt(eps)
     lambda1 = complex(np.vdot(w0, alpha) / 2.0)
 
-    times = np.linspace(0.0, t_end, max(5, cfg.get("probe.sup_samples")))
-    ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                         max_krylov_iter=cfg.get("evolve.max_krylov"))
-    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times)
-
     rows = []
-    for snap in result.snapshots:
-        t_snap = round(snap.time / dt_traj) * dt_traj
-        idx = traj.index_at(t_snap, tol=dt_traj)
+
+    def on_snapshot(snap):
+        idx = _traj_index(traj, dt_traj, snap.time)
         sup = float(np.sqrt(np.max(snap.field.density())))
         ref = assemble_ansatz(0, profile, traj, traj.t[idx], grid, eps)
         ov = complex(np.sum(np.conj(ref.data) * snap.field.data) * grid.dA)
-        overlap_coeff = abs(ov) / max(ref.norm() ** 2, 1e-300)
-        rows.append((float(snap.time), sup, overlap_coeff))
+        rows.append((float(snap.time), sup, abs(ov) / max(ref.norm() ** 2, 1e-300)))
+
+    times = np.linspace(0.0, t_end, max(5, cfg.get("probe.sup_samples")))
+    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
 
     t_min = cfg.get("probe.fit_t_min")
     t_max = cfg.get("probe.fit_t_max") or t_end
@@ -522,14 +516,10 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
         for m in orders:
             errs = []
             for eps in eps_list:
-                dt_evol, dt_tr = _aligned_dts(eps, cfg, T)
-                tr = integrate_trajectory(wall, y0, T, dt_tr)
+                ec, _, tr, grid = _prepare(cfg, wall, y0, eps, T)
                 sol = CorrectorSolver(profile, tr) if m > 0 else None
-                grid = _grid_for(cfg, tr, eps)
                 initial = assemble_ansatz(m, profile, tr, 0.0, grid, eps, sol)
-                ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                                     max_krylov_iter=cfg.get("evolve.max_krylov"))
-                res = evolution.evolve(initial, wall, ec, T, snapshot_times=[T])
+                res = evolution.evolve(initial, wall, ec, T)
                 ref = assemble_ansatz(m, profile, tr, T, grid, eps, sol)
                 diag = evolution.overlap_diagnostics(res.final, ref, tr.y[-1], norm_ref=initial.norm())
                 errs.append((eps, diag.relative_error))
@@ -564,7 +554,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 def run_check_suite():
     """Fast property checks; returns a list of (name, passed, detail)."""
     from . import hermite
-    from .geometry import integrate_trajectory
     from .profiles import GaussianProfile
     from .walls import CircleWall, straight_wall
 

@@ -343,7 +343,7 @@ def corrector_first_order(profile: Profile, traj, t, grid=DEFAULT_X1_GRID):
 # -- lab-frame sampling --------------------------------------------------------
 
 
-def _frame_coords(theta, r, y, eps, X1, X2):
+def _frame_coords(theta, y, eps, X1, X2):
     z1 = (X1 - y[0]) / np.sqrt(eps)
     z2 = (X2 - y[1]) / np.sqrt(eps)
     c, s = np.cos(theta), np.sin(theta)
@@ -353,17 +353,13 @@ def _frame_coords(theta, r, y, eps, X1, X2):
 
 
 def sample_order0(profile, ctx: FrameContext, y, eps, X1, X2):
-    """Leading wavepacket eps^{-1/2} K_t(profile) at the grid points, closed form."""
-    u, v = _frame_coords(ctx.theta, ctx.r, y, eps, X1, X2)
+    """Kernel wavepacket eps^{-1/2} K_t(profile) at the grid points, closed form.
+
+    ``profile`` is any callable of the profile variable: the leading profile,
+    or the interpolant of a kernel-band corrector such as f1.
+    """
+    u, v = _frame_coords(ctx.theta, y, eps, X1, X2)
     scalar = ctx.r**0.25 * profile(u) * np.exp(-0.5 * ctx.r * v * v) / np.sqrt(eps)
-    spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
-    return scalar[None, ...] * spinor[:, None, None]
-
-
-def _sample_kernel_values(f_vals, ctx, grid, y, eps, X1, X2):
-    u, v = _frame_coords(ctx.theta, ctx.r, y, eps, X1, X2)
-    fu = hermite.eval_on_points(f_vals, grid, u)
-    scalar = ctx.r**0.25 * fu * np.exp(-0.5 * ctx.r * v * v) / np.sqrt(eps)
     spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
     return scalar[None, ...] * spinor[:, None, None]
 
@@ -376,7 +372,7 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, X
     dependence by the stable oscillator-function recurrence.  Bands beyond the
     amplitude's effective content are skipped.
     """
-    u, v = _frame_coords(ctx.theta, ctx.r, y, eps, X1, X2)
+    u, v = _frame_coords(ctx.theta, y, eps, X1, X2)
     sr = np.sqrt(ctx.r)
     uf = (sr * u).ravel()
     vf = (sr * v).ravel()
@@ -436,7 +432,8 @@ def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None, grid=DEFA
     if order >= 1:
         sq = np.sqrt(eps)
         data = data + sq * sample_hermite_amplitude(solver.b1(i), ctx, y, eps, X1, X2)
-        data = data + sq * _sample_kernel_values(solver.f1_values(i), ctx, solver.grid, y, eps, X1, X2)
+        f1 = lambda u: hermite.eval_on_points(solver.f1_values(i), solver.grid, u)
+        data = data + sq * sample_order0(f1, ctx, y, eps, X1, X2)
     if order >= 2:
         data = data + eps * sample_hermite_amplitude(solver.b2(i), ctx, y, eps, X1, X2)
     return SpinorField(grid=grid2d, data=data, time=float(t))

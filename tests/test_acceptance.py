@@ -29,8 +29,8 @@ def report(criterion, passed, detail):
     assert passed, f"criterion {criterion}: {detail}"
 
 
-def run_and_register(name, initial, wall, config, t_end, snapshot_times=None):
-    res = evolve(initial, wall, config, t_end, snapshot_times=snapshot_times)
+def run_and_register(name, initial, wall, config, t_end, snapshot_times=None, on_snapshot=None):
+    res = evolve(initial, wall, config, t_end, snapshot_times=snapshot_times, on_snapshot=on_snapshot)
     DRIFTS.append((name, res.norm_drift))
     return res
 
@@ -82,15 +82,17 @@ def tanh_scaling():
         init = assemble_ansatz(0, prof, traj, 0.0, grid, eps)
         norm0 = init.norm()
         times = [0.5, 1.0, 2.0] if eps == 0.1 else [1.0]
-        res = run_and_register(f"tanh scaling eps={eps}", init, wall,
-                               EvolutionConfig(epsilon=eps, dt=dt), t_end, snapshot_times=times)
-        for snap in res.snapshots:
+
+        def on_snapshot(snap):
             if not any(abs(snap.time - t) < 1e-9 for t in times):
-                continue
+                return
             i = traj.index_at(round(snap.time / dtt) * dtt, tol=dtt)
             ref = assemble_ansatz(0, prof, traj, traj.t[i], grid, eps)
             diag = overlap_diagnostics(snap.field, ref, traj.y[i], norm_ref=norm0)
             rows[(eps, round(snap.time, 9))] = diag.relative_error
+
+        run_and_register(f"tanh scaling eps={eps}", init, wall, EvolutionConfig(epsilon=eps, dt=dt),
+                         t_end, snapshot_times=times, on_snapshot=on_snapshot)
     return rows
 
 
@@ -137,15 +139,17 @@ def berry_run():
     spinor = np.array([np.exp(-0.5j * th0), -np.exp(0.5j * th0)])
     init = SpinorField(grid, gauss[None] * spinor[:, None, None], 0.0)
     times = np.linspace(0.0, t_end, 64)
-    res = run_and_register("berry N=512", init, wall,
-                           EvolutionConfig(epsilon=eps, dt=dt), t_end, snapshot_times=times)
     raw = []
-    for snap in res.snapshots:
+
+    def on_snapshot(snap):
         i = traj.index_at(round(snap.time / dtt) * dtt, tol=dtt)
         y = traj.y[i]
         i1 = int(np.argmin(np.abs(grid.x1 - y[0])))
         i2 = int(np.argmin(np.abs(grid.x2 - y[1])))
         raw.append(float(np.angle(snap.field.data[0, i1, i2])))
+
+    run_and_register("berry N=512", init, wall, EvolutionConfig(epsilon=eps, dt=dt), t_end,
+                     snapshot_times=times, on_snapshot=on_snapshot)
     phases = np.unwrap(np.array(raw))
     return phases - phases[0]
 
@@ -283,9 +287,10 @@ def test_criterion_10_dispersion_probe():
     alpha = np.array([np.exp(-0.5j * th0), np.exp(0.5j * th0)])  # ansatz-orthogonal
     init = SpinorField(grid, gauss[None] * alpha[:, None, None], 0.0)
     times = np.linspace(0.0, t_end, 17)
-    res = run_and_register("dispersion probe", init, wall,
-                           EvolutionConfig(epsilon=eps, dt=dt), t_end, snapshot_times=times)
-    sups = [(s.time, float(np.sqrt(np.max(s.field.density())))) for s in res.snapshots]
+    sups = []
+    run_and_register("dispersion probe", init, wall, EvolutionConfig(epsilon=eps, dt=dt), t_end,
+                     snapshot_times=times,
+                     on_snapshot=lambda s: sups.append((s.time, float(np.sqrt(np.max(s.field.density()))))))
     window = [(t, s) for t, s in sups if 0.5 <= t <= 2.0]
     slope = float(np.polyfit(np.log([t for t, _ in window]), np.log([s for _, s in window]), 1)[0])
     in_band = -0.7 <= slope <= -0.3

@@ -224,7 +224,26 @@ def test_snapshot_bookkeeping():
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.125)
     assert len(times) == 4
     for s in res.snapshots:
-        assert s.field is not None and s.norm > 0
+        assert s.field is None and s.norm > 0
+
+
+def test_on_snapshot_streams_fields_in_order():
+    grid = Grid2D(64, 64, 4.0, 4.0)
+    wall = make_wall("tanh")
+    eps, dt = 0.25, 0.0125
+    init = thm1_gaussian(grid, eps, np.zeros(2), 0.0)
+    seen = []
+    res = evolve(init, wall, EvolutionConfig(epsilon=eps, dt=dt), 0.125,
+                 snapshot_times=[0.051, 0.1], on_snapshot=seen.append)
+    # times rounded to the step, with t = 0 and t_end always taken, in order
+    assert [s.time for s in seen] == pytest.approx([0.0, 4 * dt, 8 * dt, 10 * dt], abs=1e-15)
+    assert [s.time for s in seen] == [s.time for s in res.snapshots]
+    for s, kept in zip(seen, res.snapshots):
+        assert s.field.time == s.time
+        assert s.norm == kept.norm == s.field.norm()
+        assert np.array_equal(s.center_of_mass, kept.center_of_mass)
+    assert np.allclose(seen[0].field.data, init.data, rtol=0.0, atol=1e-12)
+    assert np.array_equal(seen[-1].field.data, res.final.data)
 
 
 def test_evolve_validates_times():

@@ -6,7 +6,7 @@ import pytest
 
 from edgelab.cli import main as cli_main
 from edgelab.config import ExperimentConfig, parse_config_text
-from edgelab.experiments import fit_loglog, run_check_suite, run_experiment
+from edgelab.experiments import auto_grid, fit_loglog, run_check_suite, run_experiment
 from edgelab.snapshots import read_snapshot
 
 
@@ -62,6 +62,20 @@ def test_run_evolve_outputs(tmp_path):
     assert eps == 0.25
     pgms = [p for p in os.listdir(out) if p.endswith(".pgm")]
     assert len(pgms) == 3
+
+
+CROSSING_CFG = """
+experiment.kind = evolve
+wall.family = crossing
+grid.n1 = 64
+grid.n2 = 64
+grid.l1 = 5.0
+grid.l2 = 5.0
+evolve.epsilon = 0.25
+evolve.t_end = 1.5
+evolve.snapshots = 3
+init.y0 = 1.5, 0.0
+"""
 
 
 def test_run_evolve_reproducible(tmp_path):
@@ -233,6 +247,33 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text("experiment.kind = dance\n")
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
+
+
+def test_wall_backend_key_rejected(tmp_path):
+    # the derivative backend is a make_wall argument for tests, not a config key
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(EVOLVE_CFG + "wall.backend = fd\n")
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    cfg_path.write_text(EVOLVE_CFG)
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--override", "wall.backend=analytic"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_meta_prints_plain_numbers(tmp_path):
+    grid = auto_grid(np.array([[0.0, 0.0], [1.2, 0.8]]), 0.1)
+    assert type(grid.l1) is float and type(grid.l2) is float
+    assert repr(grid) == f"Grid2D(n1={grid.n1}, n2={grid.n2}, l1={grid.l1!r}, l2={grid.l2!r})"
+    # an eighth of a turn of the Berry trace, and a crossing whose reference trajectory truncates
+    berry = run_experiment(cfg_from(BERRY_CFG + "berry.revolutions = 0.125\n"), str(tmp_path / "berry"))
+    crossing = run_experiment(cfg_from(CROSSING_CFG), str(tmp_path / "crossing"))
+    assert crossing["trajectory_truncated"] is True
+    for run in ("berry", "crossing"):
+        meta = (tmp_path / run / "meta.txt").read_text()
+        assert "np.float64" not in meta, meta
+    meta = (tmp_path / "berry" / "meta.txt").read_text()
+    assert f"total phase = {berry[1.0]['total_phase']!r}," in meta
+    assert "reference trajectory truncated at t = " in (tmp_path / "crossing" / "meta.txt").read_text()
 
 
 def test_cli_override_applies(tmp_path):

@@ -165,9 +165,8 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     def samp_a1(j):
         cj = solver.context(j)
         out = sample_hermite_amplitude(solver.b1(j), cj, y0, 1.0, X1, X2)
-        from edgelab.hierarchy import _sample_kernel_values
-
-        return out + _sample_kernel_values(solver.f1_values(j), cj, solver.grid, y0, 1.0, X1, X2)
+        f1 = solver.f1_values(j)
+        return out + sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), cj, y0, 1.0, X1, X2)
 
     a0 = samp_a0(i)
     a1 = samp_a1(i)
@@ -179,9 +178,8 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     nrm = lambda f: np.sqrt(np.sum(np.abs(f) ** 2) * grid.dA)
     assert nrm(T0(a1) + t1a0) <= 2e-4 * nrm(t1a0)  # limited by the FD time derivative
     # the kernel part K f1 lies in the nullspace of T0
-    from edgelab.hierarchy import _sample_kernel_values
-
-    kf1 = _sample_kernel_values(solver.f1_values(i), ctx, solver.grid, y0, 1.0, X1, X2)
+    f1 = solver.f1_values(i)
+    kf1 = sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), ctx, y0, 1.0, X1, X2)
     assert nrm(T0(kf1)) <= 1e-8 * max(nrm(kf1), 1e-300)
 
 
