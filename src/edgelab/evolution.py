@@ -38,6 +38,7 @@ __all__ = [
     "DRIFT_ABORT",
     "overlap_diagnostics",
     "OverlapDiagnostics",
+    "phase_at",
     "set_fft_workers",
     "get_fft_workers",
 ]
@@ -449,25 +450,29 @@ class OverlapDiagnostics:
     phase_at_center: float
 
 
+def phase_at(field: SpinorField, center):
+    """Argument of the first spinor component at the grid point nearest to ``center``."""
+    i1 = int(np.argmin(np.abs(field.grid.x1 - center[0])))
+    i2 = int(np.argmin(np.abs(field.grid.x2 - center[1])))
+    return float(np.angle(field.data[0, i1, i2]))
+
+
 def overlap_diagnostics(field: SpinorField, ansatz: SpinorField, center, norm_ref=None) -> OverlapDiagnostics:
     """Error metrics of a field against an ansatz on the same grid.
 
-    ``center`` locates the packet; the phase is the argument of the first
-    spinor component at the nearest grid point (unwrapping across snapshots
-    is the caller's job).  ``norm_ref`` sets the denominator of the relative
-    error (defaults to the ansatz norm).
+    ``center`` locates the packet; the phase is ``phase_at(field, center)``
+    (unwrapping across snapshots is the caller's job).  ``norm_ref`` sets the
+    denominator of the relative error (defaults to the ansatz norm).
     """
     if field.grid != ansatz.grid:
         raise ValueError("field and ansatz live on different grids")
     diff = field.data - ansatz.data
     err = float(np.sqrt(np.sum(np.abs(diff) ** 2) * field.grid.dA))
     ref = norm_ref if norm_ref is not None else ansatz.norm()
-    i1 = int(np.argmin(np.abs(field.grid.x1 - center[0])))
-    i2 = int(np.argmin(np.abs(field.grid.x2 - center[1])))
     com_f = field.center_of_mass()
     return OverlapDiagnostics(
         l2_error=err,
         relative_error=err / ref if ref > 0 else np.inf,
         center_offset=float(np.hypot(*(com_f - np.asarray(center, dtype=float)))),
-        phase_at_center=float(np.angle(field.data[0, i1, i2])),
+        phase_at_center=phase_at(field, center),
     )

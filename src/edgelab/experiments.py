@@ -17,7 +17,7 @@ import platform
 
 import numpy as np
 import scipy
-from scipy import stats
+from scipy import special
 
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
@@ -72,7 +72,7 @@ def fit_loglog(x, y) -> FitResult:
         rss = float(res[0]) if res.size else float(np.sum((ly - A @ coef) ** 2))
         sxx = float(np.sum((lx - lx.mean()) ** 2))
         stderr = float(np.sqrt(rss / dof / sxx))
-        tq = float(stats.t.ppf(0.975, dof))
+        tq = float(special.stdtrit(dof, 0.975))  # Student-t 97.5% quantile
     else:
         stderr, tq = np.inf, np.inf
     return FitResult(
@@ -125,6 +125,11 @@ def _prepare(cfg: ExperimentConfig, wall, y0, eps, t_end, truncate=False):
     """
     dt_evol = parse_dt_rule(cfg.get("evolve.dt_rule"), eps)
     dt_evol = t_end / max(1, int(round(t_end / dt_evol)))
+    try:
+        ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
+                             max_krylov_iter=cfg.get("evolve.max_krylov"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     target = cfg.get("traj.dt")
     if target <= 0:
         target = min(1e-3 * max(t_end, 1.0), dt_evol)
@@ -138,8 +143,6 @@ def _prepare(cfg: ExperimentConfig, wall, y0, eps, t_end, truncate=False):
             span /= 2.0
             if not truncate or round(span / dt_traj) < 2:
                 raise
-    ec = EvolutionConfig(epsilon=eps, dt=dt_evol, krylov_tol=cfg.get("evolve.krylov_tol"),
-                         max_krylov_iter=cfg.get("evolve.max_krylov"))
     return ec, dt_traj, traj, _grid_for(cfg, traj, eps)
 
 
@@ -152,10 +155,17 @@ def _traj_index(traj, dt_traj, t):
 
 
 def _grid_for(cfg: ExperimentConfig, traj, eps):
-    if cfg.get("grid.auto"):
-        return auto_grid(traj.y, eps)
-    return Grid2D(n1=cfg.get("grid.n1"), n2=cfg.get("grid.n2"),
-                  l1=cfg.get("grid.l1"), l2=cfg.get("grid.l2"))
+    """Lab grid of one run at eps; a grid that is invalid or under-resolved is a config error."""
+    try:
+        if cfg.get("grid.auto"):
+            grid = auto_grid(traj.y, eps)
+        else:
+            grid = Grid2D(n1=cfg.get("grid.n1"), n2=cfg.get("grid.n2"),
+                          l1=cfg.get("grid.l1"), l2=cfg.get("grid.l2"))
+        grid.check_resolution(eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return grid
 
 
 def auto_grid(traj_points, eps, margin_widths=5.0, min_n=128, max_n=1024):
@@ -378,8 +388,7 @@ def run_berry(cfg: ExperimentConfig, out_dir):
             if float(np.hypot(*(snap.center_of_mass - y_t))) > 4.0 * np.sqrt(eps):
                 decohered = True
                 return
-            diag = evolution.overlap_diagnostics(snap.field, snap.field, y_t)
-            raw.append(diag.phase_at_center)
+            raw.append(evolution.phase_at(snap.field, y_t))
             thetas.append(traj.theta[idx] - traj.theta[0])
             snap_t.append(snap.time)
 

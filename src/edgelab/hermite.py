@@ -165,26 +165,29 @@ def _lower_op(c):
     return out
 
 
+_LADDER_CACHE = {}
+
+
+def _ladder_matrices(n_bands):
+    """Real tridiagonal (X, D) with c @ X = (adag + a)/2 c and c @ D = (a - adag)/2 c."""
+    if n_bands not in _LADDER_CACHE:
+        up = np.diag(0.5 * _weights(n_bands), 1)  # adag/2: row n (from band n) -> column n+1
+        _LADDER_CACHE[n_bands] = (up + up.T, up.T - up)
+    return _LADDER_CACHE[n_bands]
+
+
 def x2_mult(c):
-    """(adag + a)/2, fused."""
-    nb = c.shape[-1]
-    w = _weights(nb)
-    out = np.empty_like(c)
-    out[..., 0] = 0.5 * w[0] * c[..., 1]
-    out[..., 1:-1] = 0.5 * (w[: nb - 2] * c[..., : nb - 2] + w[1:] * c[..., 2:])
-    out[..., -1] = 0.5 * w[-1] * c[..., -2]
-    return out
+    """Multiplication by x2 = (adag + a)/2 along the band axis: one product with a band matrix.
+
+    The product sums in BLAS order, so results can differ from the term-by-term
+    weighted sum in the last bit.
+    """
+    return c @ _ladder_matrices(c.shape[-1])[0]
 
 
 def dx2_op(c):
-    """(a - adag)/2, fused."""
-    nb = c.shape[-1]
-    w = _weights(nb)
-    out = np.empty_like(c)
-    out[..., 0] = 0.5 * w[0] * c[..., 1]
-    out[..., 1:-1] = 0.5 * (w[1:] * c[..., 2:] - w[: nb - 2] * c[..., : nb - 2])
-    out[..., -1] = -0.5 * w[-1] * c[..., -2]
-    return out
+    """d/dx2 = (a - adag)/2 along the band axis, as one band-matrix product (see x2_mult)."""
+    return c @ _ladder_matrices(c.shape[-1])[1]
 
 
 def d1_op(c, grid):

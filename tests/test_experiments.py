@@ -1,9 +1,12 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import edgelab
 from edgelab.cli import main as cli_main
 from edgelab.config import ExperimentConfig, parse_config_text
 from edgelab.experiments import auto_grid, fit_loglog, run_check_suite, run_experiment
@@ -26,8 +29,20 @@ def test_fit_loglog_recovers_slope():
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
     assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
     assert fit.ci_low <= 0.5 <= fit.ci_high
+    # 4 points leave 2 degrees of freedom: Student-t 97.5% quantile 4.3027
+    noisy = fit_loglog(x, y * np.array([1.0, 1.1, 0.95, 1.02]))
+    assert noisy.ci_high - noisy.slope == pytest.approx(4.302652729749462 * noisy.stderr, rel=1e-12)
     with pytest.raises(ValueError):
         fit_loglog([0.1, 0.2], [1, 2])
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about 0.2 s and 40 MB at start-up; the CLI needs none of it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgelab.__file__)))
+    code = "import sys, edgelab.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 EVOLVE_CFG = """
@@ -247,6 +262,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text("experiment.kind = dance\n")
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
+    # values that Grid2D, check_resolution or EvolutionConfig reject are config errors too
+    for override in ("grid.n1=100", "grid.n1=16", "evolve.krylov_tol=1e-3"):
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--override", override]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_wall_backend_key_rejected(tmp_path):

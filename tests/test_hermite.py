@@ -267,6 +267,32 @@ def test_trig_interp_matrix_direct_formula(n):
     assert np.max(np.abs(M - direct)) <= 1e-13
 
 
+def _ladder_three_term(c, sign):
+    """(a + sign adag)/2 along the last axis, written out term by term."""
+    nb = c.shape[-1]
+    w = np.sqrt(2.0 * np.arange(nb - 1) + 2.0)
+    out = np.empty_like(c)
+    out[..., 0] = 0.5 * w[0] * c[..., 1]
+    out[..., 1:-1] = 0.5 * (w[1:] * c[..., 2:] + sign * w[: nb - 2] * c[..., : nb - 2])
+    out[..., -1] = sign * 0.5 * w[-1] * c[..., -2]
+    return out
+
+
+@pytest.mark.parametrize("nb", [2, 3, 9, 64])
+def test_ladder_band_products(nb):
+    # x2_mult and dx2_op are band-matrix products; they may differ from the
+    # three-term sums only in the last bits of the two-term sum
+    rng = np.random.default_rng(nb)
+    c = rng.standard_normal((2, 16, nb)) + 1j * rng.standard_normal((2, 16, nb))
+    bound = 8 * np.finfo(float).eps * _ladder_three_term(np.abs(c), 1.0)
+    for op, sign in ((hermite.x2_mult, 1.0), (hermite.dx2_op, -1.0)):
+        got = op(c)
+        assert got.shape == c.shape and got.dtype == c.dtype
+        assert np.all(np.abs(got - _ladder_three_term(c, sign)) <= bound)
+    ladders = 0.5 * (hermite._raise_op(c) + hermite._lower_op(c))
+    assert np.all(np.abs(hermite.x2_mult(c) - ladders) <= bound)
+
+
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError):
         X1Grid(n=100, half_extent=10.0)

@@ -256,6 +256,33 @@ def test_b2_is_kernel_orthogonal_and_healthy(circle_solver):
     assert solver.truncation_max == 0.0
 
 
+def test_sample_hermite_amplitude_tube_mask_and_direct_sum():
+    # zero wherever the canonical x1 coordinate leaves the amplitude's window;
+    # inside, the x1 Fourier sum times the x2 oscillator functions, point by point
+    grid = hermite.X1Grid(n=64, half_extent=6.0)
+    rng = np.random.default_rng(5)
+    amp = hermite.HermiteAmplitude.zeros(grid, hierarchy.N_BANDS)
+    amp.coeffs[:, :, :7] = rng.standard_normal((2, 64, 7)) + 1j * rng.standard_normal((2, 64, 7))
+    amp.coeffs *= np.exp(-0.5 * (grid.x / 1.5) ** 2)[None, :, None]
+    ctx = hierarchy.FrameContext(t=0.0, theta=0.7, theta_dot=0.0, r=1.6, r_dot=0.0,
+                                 hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
+    eps, y = 0.1, np.array([0.3, -0.2])
+    X1, X2 = Grid2D(32, 32, 3.0, 3.0).mesh()
+    got = sample_hermite_amplitude(amp, ctx, y, eps, X1, X2, chunk=300).reshape(2, -1)
+    u, v = hierarchy._frame_coords(ctx.theta, y, eps, X1, X2)
+    u, v = np.sqrt(ctx.r) * u.ravel(), np.sqrt(ctx.r) * v.ravel()
+    outside = np.abs(u) >= grid.half_extent
+    assert 100 < np.count_nonzero(outside) < u.size - 100
+    assert np.all(got[:, outside] == 0.0)
+    ui, vi = u[~outside], v[~outside]
+    fourier = np.exp(1j * np.outer(ui + grid.half_extent, grid.k)) / grid.n
+    tilde = np.einsum("pm,cmn,pn->cp", fourier, sfft.fft(amp.coeffs, axis=1),
+                      hermite.hermite_functions(amp.n_hermite, vi))
+    phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
+    direct = phase[:, None] * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
+    assert np.max(np.abs(got[:, ~outside] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 @pytest.mark.parametrize("family, params, y0", [("tanh", (), (0.0, 0.0)), ("circle", (1.0,), (1.0, 0.0))])
 def test_derived_band_count_matches_64_bands(monkeypatch, family, params, y0):
     # b1 fills bands 0-3 and b2 bands 0-6, so widening the basis to 64 bands
