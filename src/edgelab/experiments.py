@@ -92,11 +92,8 @@ class ErrorTable:
         return sorted(self.rows, key=lambda r: (r[0], r[1]))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"])
-            for row in self.sorted_rows():
-                w.writerow([repr(float(v)) for v in row])
+        _csv_write(path, ["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"],
+                   [[repr(float(v)) for v in row] for row in self.sorted_rows()])
 
     def errors_at(self, t, tol=1e-9):
         rows = [r for r in self.sorted_rows() if abs(r[1] - t) <= tol]
@@ -201,19 +198,14 @@ def _initial_field(cfg, profile, traj, grid, eps, solver=None):
 
 
 def _write_meta(out_dir, cfg: ExperimentConfig, extra_lines=()):
+    lines = [f"edgelab {__version__}",
+             f"numpy {np.__version__}, scipy {scipy.__version__}, python {platform.python_version()}",
+             "--- effective configuration ---", *cfg.echo_lines()]
+    if extra_lines:
+        lines += ["--- run record ---", *map(str, extra_lines)]
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "meta.txt")
-    with open(path, "w") as fh:
-        fh.write(f"edgelab {__version__}\n")
-        fh.write(f"numpy {np.__version__}, scipy {scipy.__version__}, python {platform.python_version()}\n")
-        fh.write("--- effective configuration ---\n")
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
-        if extra_lines:
-            fh.write("--- run record ---\n")
-            for line in extra_lines:
-                fh.write(str(line) + "\n")
-    return path
+    with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _wall_check_lines(wall, traj):
@@ -228,10 +220,7 @@ def _wall_check_lines(wall, traj):
 
 def _csv_write(path, header, rows):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _fmt(v):
@@ -470,7 +459,8 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
 
     For each order m the discrete residual ||(eps D_t + H) W|| is evaluated
     at the configured times and fitted against epsilon; the expected slope is
-    (m+2)/2.  With ``hierarchy.evolve_check`` on, also evolves corrected
+    (m+2)/2.  One hierarchy.ansatz_residuals pass per (eps, t) serves every
+    order.  With ``hierarchy.evolve_check`` on, also evolves corrected
     initial data and fits the terminal error slope.
     """
     orders = [int(o) for o in cfg.get("hierarchy.orders")]
@@ -488,25 +478,17 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     n = int(np.ceil(t_max / dt_traj))
     traj = integrate_trajectory(wall, y0, n * dt_traj, dt_traj)
 
-    solver = None
-    if max(orders) > 0:
-        solver = CorrectorSolver(profile, traj)
-
-    rows = []
-    for m in orders:
-        for eps in eps_list:
-            grid = _grid_for(cfg, traj, eps)
-            for t in times:
-                resid, wnorm = hierarchy.ansatz_residual(m, profile, traj, t, grid, eps,
-                                                         solver=solver, dt_fd=fd_dt)
-                rows.append((m, eps, t, resid, resid / wnorm))
-
-    fits = {}
-    for m in orders:
+    solver = CorrectorSolver(profile, traj) if max(orders) > 0 else None
+    found = {}
+    for eps in eps_list:
+        grid = _grid_for(cfg, traj, eps)
+        kappa = grid.wall_values(wall)
         for t in times:
-            pts = [(r[1], r[3]) for r in rows if r[0] == m and abs(r[2] - t) < 1e-12]
-            if len(pts) >= 3:
-                fits[(m, t)] = fit_loglog([p[0] for p in pts], [p[1] for p in pts])
+            pairs = hierarchy.ansatz_residuals(orders, profile, traj, t, grid, eps, solver, fd_dt, kappa=kappa)
+            found.update({(m, eps, t): (m, eps, t, r, r / w) for m, (r, w) in zip(orders, pairs)})
+    rows = [found[m, eps, t] for m in orders for eps in eps_list for t in times]
+    fits = {(m, t): fit_loglog(eps_list, [found[m, eps, t][3] for eps in eps_list])
+            for m in orders for t in times if len(eps_list) >= 3}
 
     os.makedirs(out_dir, exist_ok=True)
     _csv_write(os.path.join(out_dir, "residuals.csv"),
@@ -564,6 +546,7 @@ def run_check_suite():
     """Fast property checks; returns a list of (name, passed, detail)."""
     from . import hermite
     from .profiles import GaussianProfile
+    from .straight import rotated_coords
     from .walls import CircleWall, straight_wall
 
     checks = []
@@ -618,6 +601,18 @@ def run_check_suite():
     resid = stepper.true_residual(stepper.step_hat(hat), hat)
     checks.append(("split preconditioner", stepper.last_iterations <= 5 and resid <= cfg.krylov_tol,
                    f"{stepper.last_iterations} iterations, residual = {resid:.2e}"))
+
+    # lab-grid sampling: separable phase-table products against a per-point sum
+    ctx = hierarchy.FrameContext(0.0, 0.7, 0.0, 1.6, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    y, eps, g64 = np.array([0.3, -0.2]), 0.02, Grid2D(n1=64, n2=64, l1=1.5, l2=1.5)
+    got = hierarchy.sample_hermite_amplitude(a, ctx, y, eps, g64.x1, g64.x2).reshape(2, -1)
+    z = (np.stack(g64.mesh()) - y[:, None, None]).reshape(2, -1) * np.sqrt(ctx.r / eps)
+    u, v = rotated_coords(ctx.theta, *z)
+    x1_vals = hermite.eval_on_points(a.coeffs.transpose(1, 0, 2).reshape(grid.n, -1), grid, u)
+    tilde = np.einsum("pcn,pn->cp", x1_vals.reshape(u.size, 2, nh), hermite.hermite_functions(nh, v))
+    direct = np.exp(0.5j * ctx.theta * np.array([[-1.0], [1.0]])) * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
+    err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+    checks.append(("separable sampling", err <= 1e-12, f"rel err = {err:.2e} on 64^2"))
 
     # first corrector against the circular-interface closed forms
     circ = CircleWall((1.0,))

@@ -41,6 +41,7 @@ __all__ = [
     "default_x2_grid",
     "poly_rotate_scale",
     "apply_poly_sigma1",
+    "mode_phases",
     "trig_interp_matrix",
 ]
 
@@ -366,6 +367,24 @@ def apply_poly_sigma1(a: HermiteAmplitude, coeff) -> HermiteAmplitude:
     return HermiteAmplitude(a.grid, p.coeffs[::-1].copy())
 
 
+def mode_phases(grid: X1Grid, points, scale=1.0):
+    """Phase table T[m, p] = scale exp(i k_m points[p]) over the grid's FFT modes, shape (N1, len(points)).
+
+    Mode N1/2 carries frequency -N1/2.  Rows are powers of the base phase:
+    built by cumulative product, with negative frequencies as conjugates
+    (exp() per entry would dominate).
+    """
+    base = np.exp(1j * np.asarray(points, dtype=float) * (np.pi / grid.half_extent))
+    n, half = grid.n, grid.n // 2
+    T = np.empty((n, base.size), dtype=complex)
+    T[0] = scale
+    for m in range(1, half + 1):
+        np.multiply(T[m - 1], base, out=T[m])
+    np.conj(T[half], out=T[half])
+    np.conj(T[half - 1 : 0 : -1], out=T[half + 1 :])
+    return T
+
+
 def trig_interp_matrix(grid: X1Grid, points):
     """Matrix evaluating the trigonometric interpolant of grid samples at scattered points.
 
@@ -373,23 +392,11 @@ def trig_interp_matrix(grid: X1Grid, points):
     accurate for smooth decaying data.  The phase references the grid origin
     at -half_extent, where sample index 0 lives.  M.T is C-contiguous.
     """
-    points = np.asarray(points, dtype=float)
-    n = grid.n
-    # rows are powers of the base phase: build by cumulative product, with
-    # negative frequencies as conjugates (exp() per entry would dominate)
-    base = np.exp(1j * (points + grid.half_extent) * (np.pi / grid.half_extent))
-    Mt = np.empty((n, points.size), dtype=complex)
-    Mt[0] = 1.0 / n
-    half = n // 2
-    for m in range(1, half + 1):
-        np.multiply(Mt[m - 1], base, out=Mt[m])
-    np.conj(Mt[half], out=Mt[half])  # the unpaired mode carries frequency -n/2
-    np.conj(Mt[half - 1 : 0 : -1], out=Mt[half + 1 :])
-    return Mt.T
+    return mode_phases(grid, np.asarray(points, dtype=float) + grid.half_extent, 1.0 / grid.n).T
 
 
-def eval_on_points(values, grid: X1Grid, points, chunk=8192):
-    """Trigonometric interpolation of 1D grid data at scattered points (chunked).
+def eval_on_points(values, grid: X1Grid, points):
+    """Trigonometric interpolation of 1D grid data at scattered points.
 
     Points outside the grid window evaluate to zero: amplitudes handled here
     decay inside the window, so the periodic continuation of the interpolant
@@ -398,12 +405,6 @@ def eval_on_points(values, grid: X1Grid, points, chunk=8192):
     vh = sfft.fft(np.asarray(values, dtype=complex), axis=0)
     points = np.asarray(points, dtype=float)
     flat = points.ravel()
-    parts = []
-    for lo in range(0, flat.size, chunk):
-        sel = flat[lo : lo + chunk]
-        M = trig_interp_matrix(grid, sel)
-        vals = M @ vh
-        vals[np.abs(sel) >= grid.half_extent] = 0.0
-        parts.append(vals)
-    out = np.concatenate(parts, axis=0)
+    out = trig_interp_matrix(grid, flat) @ vh
+    out[np.abs(flat) >= grid.half_extent] = 0.0
     return out.reshape(points.shape + vh.shape[1:])

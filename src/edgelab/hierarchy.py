@@ -27,7 +27,7 @@ order-2 amplitude a0 + sqrt(eps) a1 + eps b2.
 from __future__ import annotations
 
 import dataclasses
-import warnings
+import functools
 
 import numpy as np
 from scipy import fft as sfft
@@ -35,6 +35,7 @@ from scipy import fft as sfft
 from . import hermite
 from .hermite import HermiteAmplitude, SolverError, X1Grid
 from .profiles import Profile
+from .straight import edge_spinor, rotated_coords
 
 __all__ = [
     "FrameContext",
@@ -44,7 +45,10 @@ __all__ = [
     "corrector_first_order",
     "assemble_ansatz",
     "sample_order0",
+    "sample_kernel_profile",
+    "sample_hermite_amplitude",
     "ansatz_residual",
+    "ansatz_residuals",
     "DEFAULT_X1_GRID",
     "N_BANDS",
 ]
@@ -57,6 +61,8 @@ DEFAULT_X1_GRID = X1Grid(n=256, half_extent=12.0)
 # + T1 K f1) fills bands 0-6: 7 bands, plus 2 guard bands that
 # truncation_health reads and that must stay exactly zero.
 N_BANDS = 9
+
+SOLVABILITY_TOL = 1e-6  # largest kernel-band share of the b1 source (runs sit near 2e-14)
 
 _KERNEL_TRANSPORT = np.pi**0.25 / np.sqrt(2.0 * np.pi)  # kernel band -> D_t f factor
 
@@ -217,15 +223,14 @@ class CorrectorSolver:
     kernel-band transport equation for f1 (trapezoid rule, f1(0) = 0).  The
     per-sample kernel component of the b1 source is recorded: it must vanish
     up to discretization (the solvability identity), so its size diagnoses
-    frame or derivative inconsistencies.  Any weight of b1 or b2 in the top
-    two Hermite bands raises SolverError.
+    profile, derivative or frame-rate inconsistencies; above SOLVABILITY_TOL it raises
+    SolverError, as does any weight of b1 or b2 in the top two Hermite bands.
     """
 
-    def __init__(self, profile: Profile, traj, grid=DEFAULT_X1_GRID, solvability_tol=1e-6):
+    def __init__(self, profile: Profile, traj, grid=DEFAULT_X1_GRID):
         self.profile = profile
         self.traj = traj
         self.grid = grid
-        self.solvability_tol = solvability_tol
         n = len(traj)
         self._H = traj.wall.hessian(traj.y)
         self._T = traj.wall.third(traj.y)
@@ -252,16 +257,16 @@ class CorrectorSolver:
 
         self.dtf1 = dtf1
         self.solvability = solv
-        if n and float(np.max(solv)) > solvability_tol:
-            warnings.warn(
-                f"corrector solvability residual {float(np.max(solv)):.2e} exceeds "
-                f"{solvability_tol:g}: frame or wall-derivative data is inconsistent",
-                stacklevel=2,
-            )
+        if n and float(np.max(solv)) > SOLVABILITY_TOL:
+            raise SolverError(f"corrector solvability residual {float(np.max(solv)):.2e} exceeds "
+                              f"{SOLVABILITY_TOL:g}: the profile, its derivative and the frame data "
+                              "disagree, or the x1 grid does not hold the profile")
         self.f1 = np.zeros((n, grid.n), dtype=complex)
         if n > 1:
             np.cumsum(0.5 * dt * (dtf1[1:] + dtf1[:-1]), axis=0, out=self.f1[1:])
-        self._b1_lru = {}
+        # per-sample caches: a difference stencil reads b1 at neighbouring samples
+        self._b1 = functools.lru_cache(17)(lambda j: self._solve_b1(j, *self._sample_terms(j)))
+        self._b2 = functools.lru_cache(17)(self._solve_b2)
 
     # -- per-sample pieces
 
@@ -287,11 +292,7 @@ class CorrectorSolver:
         return b1 * (-1.0 / np.sqrt(ctx.r))
 
     def b1(self, i) -> HermiteAmplitude:
-        if i not in self._b1_lru:
-            if len(self._b1_lru) > 16:
-                self._b1_lru.clear()
-            self._b1_lru[i] = self._solve_b1(i, *self._sample_terms(i))
-        return self._b1_lru[i]
+        return self._b1(i)
 
     def _dtb1(self, i) -> HermiteAmplitude:
         return _time_derivative(self.b1, i, len(self.traj), self.traj.dt)
@@ -319,6 +320,9 @@ class CorrectorSolver:
 
     def b2(self, i) -> HermiteAmplitude:
         """Second corrector: one more inversion of beta1 - T1 (kernel f1 state)."""
+        return self._b2(i)
+
+    def _solve_b2(self, i) -> HermiteAmplitude:
         ctx = self._ctx[i]
         a0, p2 = self._sample_terms(i)
         kf1 = _kernel_coeffs_from_values(self.f1[i], ctx, self.grid)
@@ -344,130 +348,134 @@ def corrector_first_order(profile: Profile, traj, t, grid=DEFAULT_X1_GRID):
 # -- lab-frame sampling --------------------------------------------------------
 
 
-def _frame_coords(theta, y, eps, X1, X2):
-    z1 = (X1 - y[0]) / np.sqrt(eps)
-    z2 = (X2 - y[1]) / np.sqrt(eps)
-    c, s = np.cos(theta), np.sin(theta)
-    u = c * z1 + s * z2  # (R_theta z)_1
-    v = -s * z1 + c * z2
-    return u, v
+def _frame_coords(theta, y, eps, x1, x2):
+    """Canonical coordinates of the lab mesh x1 x x2, split by axis: with z = (x - y)/sqrt(eps),
+    (R_theta z)_1 = ua[:, None] + ub[None, :] and (R_theta z)_2 = va[:, None] + vb[None, :]."""
+    z1 = (np.asarray(x1, dtype=float) - y[0]) / np.sqrt(eps)
+    z2 = (np.asarray(x2, dtype=float) - y[1]) / np.sqrt(eps)
+    (ua, va), (ub, vb) = rotated_coords(theta, z1, 0.0), rotated_coords(theta, 0.0, z2)
+    return ua, ub, va, vb
 
 
-def sample_order0(profile, ctx: FrameContext, y, eps, X1, X2):
-    """Kernel wavepacket eps^{-1/2} K_t(profile) at the grid points, closed form.
+def _kernel_packet(f_u, ctx: FrameContext, v, eps):
+    """eps^{-1/2} r^{1/4} f(u) e^{-r v^2/2} times the edge spinor."""
+    scalar = ctx.r**0.25 * f_u * np.exp(-0.5 * ctx.r * v * v) / np.sqrt(eps)
+    return scalar[None, ...] * edge_spinor(ctx.theta)[:, None, None]
 
-    ``profile`` is any callable of the profile variable: the leading profile,
-    or the interpolant of a kernel-band corrector such as f1.
+
+def sample_order0(profile, ctx: FrameContext, y, eps, x1, x2):
+    """Kernel wavepacket eps^{-1/2} K_t(profile) on the lab mesh of axes x1, x2: (2, len(x1), len(x2)).
+    ``profile`` is any callable of the profile variable, evaluated at every mesh point."""
+    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
+    return _kernel_packet(profile(np.add.outer(ua, ub)), ctx, np.add.outer(va, vb), eps)
+
+
+def sample_kernel_profile(values, grid: X1Grid, ctx: FrameContext, y, eps, x1, x2):
+    """sample_order0 for a profile sampled on ``grid`` (such as f1), interpolated separably as in
+    sample_hermite_amplitude; points with |u| >= grid.half_extent are exactly zero."""
+    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
+    vh = sfft.fft(np.asarray(values, dtype=complex))
+    f_u = hermite.trig_interp_matrix(grid, ua) @ (vh[:, None] * hermite.mode_phases(grid, ub))
+    f_u[np.abs(np.add.outer(ua, ub)) >= grid.half_extent] = 0.0
+    return _kernel_packet(f_u, ctx, np.add.outer(va, vb), eps)
+
+
+def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, x1, x2):
+    """Sample a canonical amplitude at sqrt(r) (u, v) on the lab mesh of axes x1, x2: (2, len(x1), len(x2)).
+
+    On a lab mesh u = ua + ub, so the x1 interpolation phase factors, e^{iku}
+    = e^{ik ua} e^{ik ub}, and with P = trig_interp_matrix at sqrt(r) ua and
+    Q = mode_phases at sqrt(r) ub a band's interpolant is P @ (V[:, None] * Q).
+    Bands (up to the amplitude's effective content) are accumulated one at a
+    time against the oscillator-function recurrence in v.  Points outside the
+    canonical window, |sqrt(r) u| >= the x1 half-extent, are exactly zero.
     """
-    u, v = _frame_coords(ctx.theta, y, eps, X1, X2)
-    scalar = ctx.r**0.25 * profile(u) * np.exp(-0.5 * ctx.r * v * v) / np.sqrt(eps)
-    spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
-    return scalar[None, ...] * spinor[:, None, None]
-
-
-def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, X1, X2, chunk=4096):
-    """Sample a canonical amplitude on the lab grid through the analytic frame maps.
-
-    Evaluation point in the canonical frame is sqrt(r) R_theta (x - y)/sqrt(eps);
-    the x1 dependence is evaluated by trigonometric interpolation and the x2
-    dependence by the stable oscillator-function recurrence.  Bands beyond the
-    amplitude's effective content are skipped.  Every chunk of points is
-    interpolated whole; points outside the canonical window, |u| >= the x1
-    grid's half-extent, are set to exactly zero afterwards.
-    """
-    u, v = _frame_coords(ctx.theta, y, eps, X1, X2)
+    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
     sr = np.sqrt(ctx.r)
-    uf = (sr * u).ravel()
-    vf = (sr * v).ravel()
     band_norms = np.sqrt(np.sum(np.abs(amp.coeffs) ** 2, axis=(0, 1)))
-    total = np.linalg.norm(band_norms)
-    nh_eff = amp.n_hermite
-    if total > 0:
-        keep = np.nonzero(band_norms > 1e-14 * total)[0]
-        nh_eff = int(keep[-1]) + 1 if keep.size else 1
-    vh = sfft.fft(amp.coeffs[:, :, :nh_eff], axis=1)
-    # rows ordered (band, component): one matmul gives every band's x1 values
-    vt = vh.transpose(2, 0, 1).reshape(2 * nh_eff, amp.grid.n)
-    out = np.empty((2, uf.size), dtype=complex)
-    for lo in range(0, uf.size, chunk):
-        sel = slice(lo, lo + chunk)
-        # bound to a name, M is freed only once the next chunk's matrix exists,
-        # so each matrix is mapped afresh and returned; freed right after the
-        # product, its 17 MB block stayed resident on the heap for the whole
-        # run (hierarchy_tanh peak RSS 140 -> 157 MB, for ~40k fewer page faults)
-        M = hermite.trig_interp_matrix(amp.grid, uf[sel])
-        C = (vt @ M.T).reshape(nh_eff, 2, -1)
-        x2v = vf[sel]
-        phi_prev = np.zeros_like(x2v)
-        phi = np.pi**-0.25 * np.exp(-0.5 * x2v * x2v)
-        acc = C[0] * phi
-        for n in range(1, nh_eff):
+    keep = np.nonzero(band_norms > 1e-14 * np.linalg.norm(band_norms))[0]
+    nh_eff = int(keep[-1]) + 1 if keep.size else 1
+    # lab spinor components: undo the tilde conjugation, then the frame phases
+    mix = np.exp(0.5j * ctx.theta * np.array([[-1.0], [1.0]])) * hermite._UNTILDE / np.sqrt(eps)
+    vh = np.einsum("dc,cmn->dmn", mix, sfft.fft(amp.coeffs[:, :, :nh_eff], axis=1))
+    P = hermite.trig_interp_matrix(amp.grid, sr * ua)
+    Q = hermite.mode_phases(amp.grid, sr * ub)
+    x2v = sr * np.add.outer(va, vb)
+    phi_prev, phi = 0.0, np.pi**-0.25 * np.exp(-0.5 * x2v * x2v)
+    out = np.zeros((2, ua.size, ub.size), dtype=complex)
+    for n in range(nh_eff):
+        if n:
             phi_next = np.sqrt(2.0 / n) * x2v * phi - np.sqrt((n - 1.0) / n) * phi_prev
             phi_prev, phi = phi, phi_next
-            acc += C[n] * phi
-        out[:, sel] = acc
+        for c in (0, 1):
+            out[c] += (P @ (vh[c, :, n, None] * Q)) * phi
     # outside the canonical window the amplitude is zero; the periodic
     # interpolant would alias the packet into the tails
-    out[:, np.abs(uf) >= amp.grid.half_extent] = 0.0
-    out = hermite._UNTILDE @ out
-    phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
-    out *= phase[:, None]
-    return (out / np.sqrt(eps)).reshape((2,) + X1.shape)
+    out[:, np.abs(sr * np.add.outer(ua, ub)) >= amp.grid.half_extent] = 0.0
+    return out
+
+
+def _ansatz_fields(order, profile, traj, i, grid2d, eps, solver):
+    """[W_0, ..., W_order] at trajectory sample i, each term sampled once and summed left to
+    right: W_1 = W_0 + sqrt(eps) b1 + sqrt(eps) K f1, W_2 = W_1 + eps b2."""
+    ctx = solver.context(i) if solver is not None else frame_context(traj, i)
+    lab = (traj.y[i], eps, grid2d.x1, grid2d.x2)
+    fields = [sample_order0(profile, ctx, *lab)]
+    if order >= 1:
+        b1 = sample_hermite_amplitude(solver.b1(i), ctx, *lab)
+        kf1 = sample_kernel_profile(solver.f1_values(i), solver.grid, ctx, *lab)
+        fields.append(fields[0] + np.sqrt(eps) * b1 + np.sqrt(eps) * kf1)
+    if order >= 2:
+        fields.append(fields[1] + eps * sample_hermite_amplitude(solver.b2(i), ctx, *lab))
+    return fields
+
+
+def _ansatz_solver(orders, profile, traj, grid2d, eps, solver, grid):
+    """Validate an ansatz request; returns the corrector solver it needs (None for order 0)."""
+    if any(m not in (0, 1, 2) for m in orders):
+        raise ValueError("corrector order must be 0, 1 or 2")
+    grid2d.check_resolution(eps)
+    if solver is not None and solver.traj is not traj:
+        raise ValueError("corrector solver was built over a different trajectory")
+    return CorrectorSolver(profile, traj, grid) if solver is None and max(orders) > 0 else solver
 
 
 def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None, grid=DEFAULT_X1_GRID):
     """Sample the order-m ansatz (m in {0, 1, 2}) on a lab grid as a SpinorField.
 
-    Order 0 is the closed-form kernel state; order 1 adds sqrt(eps) (b1 + K f1);
-    order 2 adds eps b2 on top.  ``solver`` may be passed to reuse corrector
-    data across calls; it must have been built over the same trajectory.
+    Order 0 is the closed-form kernel state, order 1 adds sqrt(eps) (b1 + K f1) and order 2
+    eps b2, as ansatz_residuals does.  ``solver`` (built over ``traj``) reuses corrector data.
     """
     from .evolution import SpinorField  # local import to avoid a cycle
 
-    if order not in (0, 1, 2):
-        raise ValueError("corrector order must be 0, 1 or 2")
-    grid2d.check_resolution(eps)
-    i = traj.index_at(t)
-    if solver is not None and solver.traj is not traj:
-        raise ValueError("corrector solver was built over a different trajectory")
-    if solver is None and order > 0:
-        solver = CorrectorSolver(profile, traj, grid)
-    ctx = solver.context(i) if solver is not None else frame_context(traj, i)
-    y = traj.y[i]
-    X1, X2 = grid2d.mesh()
-    data = sample_order0(profile, ctx, y, eps, X1, X2)
-    if order >= 1:
-        sq = np.sqrt(eps)
-        data = data + sq * sample_hermite_amplitude(solver.b1(i), ctx, y, eps, X1, X2)
-        f1 = lambda u: hermite.eval_on_points(solver.f1_values(i), solver.grid, u)
-        data = data + sq * sample_order0(f1, ctx, y, eps, X1, X2)
-    if order >= 2:
-        data = data + eps * sample_hermite_amplitude(solver.b2(i), ctx, y, eps, X1, X2)
+    solver = _ansatz_solver((order,), profile, traj, grid2d, eps, solver, grid)
+    data = _ansatz_fields(order, profile, traj, traj.index_at(t), grid2d, eps, solver)[order]
     return SpinorField(grid=grid2d, data=data, time=float(t))
 
 
-def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None, grid=DEFAULT_X1_GRID):
-    """Discrete residual ||(eps D_t + H) W|| of the order-m ansatz at time t.
+def ansatz_residuals(orders, profile, traj, t, grid2d, eps, solver=None, dt_fd=None,
+                     grid=DEFAULT_X1_GRID, kappa=None):
+    """Discrete residuals ||(eps D_t + H) W_m|| at time t, one (residual, field norm) per m in ``orders``.
 
-    The time derivative is a central difference over +-dt_fd (defaulting to
-    the trajectory step), H is applied pseudospectrally.  Returns
-    (residual, field norm).
+    At t and t -+ dt_fd (default: the trajectory step) the terms are sampled once and every W_m
+    is a partial sum of them.  D_t is the central difference; H (wall ``kappa`` on grid2d,
+    computed when not given) is applied pseudospectrally, once per order.
     """
     from . import evolution
 
-    if solver is None and order > 0:
-        solver = CorrectorSolver(profile, traj, grid)
-    if dt_fd is None:
-        dt_fd = traj.dt
+    solver = _ansatz_solver(orders, profile, traj, grid2d, eps, solver, grid)
+    dt_fd = traj.dt if dt_fd is None else dt_fd
     steps = int(round(dt_fd / traj.dt))
     if steps < 1 or abs(steps * traj.dt - dt_fd) > 1e-12:
         raise ValueError("dt_fd must be a multiple of the trajectory step")
-    mk = lambda tt: assemble_ansatz(order, profile, traj, tt, grid2d, eps, solver, grid)
-    w_minus = mk(t - dt_fd)
-    w_0 = mk(t)
-    w_plus = mk(t + dt_fd)
-    kappa = grid2d.wall_values(traj.wall)
-    hw = evolution.apply_H(w_0.data, kappa, eps, grid2d)
-    resid = eps * (-1j) * (w_plus.data - w_minus.data) / (2.0 * dt_fd) + hw
-    da = grid2d.dA
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2) * da)), w_0.norm()
+    w_minus, w_0, w_plus = (_ansatz_fields(max(orders), profile, traj, traj.index_at(tt), grid2d, eps, solver)
+                            for tt in (t - dt_fd, t, t + dt_fd))
+    kappa = grid2d.wall_values(traj.wall) if kappa is None else kappa
+    l2 = lambda f: float(np.sqrt(np.sum(np.abs(f) ** 2) * grid2d.dA))
+    eps_dt = lambda m: eps * (-1j) * (w_plus[m] - w_minus[m]) / (2.0 * dt_fd)
+    return [(l2(eps_dt(m) + evolution.apply_H(w_0[m], kappa, eps, grid2d)), l2(w_0[m])) for m in orders]
+
+
+def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None, grid=DEFAULT_X1_GRID):
+    """Discrete residual ||(eps D_t + H) W|| of the order-m ansatz at time t: (residual, field norm)."""
+    return ansatz_residuals((order,), profile, traj, t, grid2d, eps, solver, dt_fd, grid)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "StraightWall",
-    "rotation",
+    "rotated_coords",
     "edge_spinor",
     "edge_state",
     "ballistic_wave",
@@ -39,23 +39,21 @@ class StraightWall:
             raise ValueError("epsilon must be positive")
 
 
-def rotation(theta):
-    """R_theta = [[cos, sin], [-sin, cos]]."""
+def rotated_coords(theta, x1, x2):
+    """((R_theta x)_1, (R_theta x)_2) with R_theta = [[cos, sin], [-sin, cos]]; x1, x2 broadcast."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return c * x1 + s * x2, -s * x1 + c * x2
+
+
+def _rotated_points(theta, x):
+    """rotated_coords of points x of shape (..., 2)."""
+    x = np.asarray(x, dtype=float)
+    return rotated_coords(theta, x[..., 0], x[..., 1])
 
 
 def edge_spinor(theta):
     """The propagating spinor direction (e^{-i theta/2}, -e^{i theta/2})."""
     return np.array([np.exp(-0.5j * theta), -np.exp(0.5j * theta)])
-
-
-def _rotated_coords(theta, x):
-    x = np.asarray(x, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    u = c * x[..., 0] + s * x[..., 1]  # (R_theta x)_1
-    v = -s * x[..., 0] + c * x[..., 1]  # (R_theta x)_2
-    return u, v
 
 
 def edge_state(w: StraightWall, xi, x):
@@ -67,7 +65,7 @@ def edge_state(w: StraightWall, xi, x):
     has energy -xi, so its group velocity points along -(cos theta, sin theta),
     consistent with the ballistic waves below.
     """
-    u, v = _rotated_coords(w.theta, x)
+    u, v = _rotated_points(w.theta, x)
     scalar = np.exp(1j * xi * u / w.epsilon - w.r * v * v / (2.0 * w.epsilon))
     return scalar[..., None] * edge_spinor(w.theta)
 
@@ -78,7 +76,7 @@ def ballistic_wave(w: StraightWall, f, t, x):
     ``f`` is any callable profile; the wave solves the time-dependent Dirac
     equation for the straight wall exactly.
     """
-    u, v = _rotated_coords(w.theta, x)
+    u, v = _rotated_points(w.theta, x)
     scalar = f(t + u) * np.exp(-w.r * v * v / (2.0 * w.epsilon)) / np.sqrt(w.epsilon)
     return scalar[..., None] * edge_spinor(w.theta)
 
@@ -88,8 +86,6 @@ def frame_gauge_map(theta, F, x):
 
     ``F`` maps points of shape (..., 2) to spinor fields of shape (..., 2).
     """
-    x = np.asarray(x, dtype=float)
-    Rx = x @ rotation(theta).T
-    val = np.asarray(F(Rx))
+    val = np.asarray(F(np.stack(_rotated_points(theta, x), axis=-1)))
     phase = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     return val * phase

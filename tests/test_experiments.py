@@ -268,6 +268,15 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_solvability_breach_exits_3(tmp_path, capsys):
+    # a profile wider than the corrector's x1 window breaks the solvability identity
+    cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs", "hierarchy_tanh.cfg")
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out", str(out), "--override", "init.profile_params=6.0"]) == 3
+    assert "solvability residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wall_backend_key_rejected(tmp_path):
     # the derivative backend is a make_wall argument for tests, not a config key
     cfg_path = tmp_path / "run.cfg"

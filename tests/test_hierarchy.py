@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -12,6 +14,7 @@ from edgelab.hierarchy import (
     corrector_first_order,
     frame_context,
     sample_hermite_amplitude,
+    sample_kernel_profile,
     sample_order0,
 )
 from edgelab.profiles import GaussianProfile
@@ -38,10 +41,9 @@ def test_leading_amplitude_trivial_samples():
     wall = straight_wall(0.0, 1.0)
     traj = integrate_trajectory(wall, np.array([0.0, 0.0]), 0.01, 1e-2)
     ctx = frame_context(traj, 0)
-    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0,
-                         np.array([[0.0], [0.0]]), np.array([[0.0], [1.0]]))
+    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0, np.array([0.0]), np.array([0.0, 1.0]))
     assert np.allclose(vals[:, 0, 0], [1.0, -1.0])
-    assert np.allclose(vals[:, 1, 0], np.exp(-0.5) * np.array([1.0, -1.0]))
+    assert np.allclose(vals[:, 0, 1], np.exp(-0.5) * np.array([1.0, -1.0]))
 
 
 def test_leading_amplitude_spinor_at_theta_pi():
@@ -50,8 +52,7 @@ def test_leading_amplitude_spinor_at_theta_pi():
 
     ctx = FrameContext(t=0.0, theta=np.pi, theta_dot=0.0, r=1.0, r_dot=0.0,
                        hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0,
-                         np.zeros((1, 1)), np.zeros((1, 1)))
+    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0, np.zeros(1), np.zeros(1))
     assert np.allclose(vals[:, 0, 0], [-1j, -1j])
 
 
@@ -61,19 +62,18 @@ def test_leading_amplitude_r_scaling():
 
     prof = GaussianProfile()
     grid = Grid2D(512, 512, 10.0, 10.0)
-    X1, X2 = grid.mesh()
     norms = {}
     for r in (1.0, 4.0):
         ctx = FrameContext(t=0.0, theta=0.0, theta_dot=0.0, r=r, r_dot=0.0,
                            hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-        vals = sample_order0(prof, ctx, np.zeros(2), 1.0, X1, X2)
+        vals = sample_order0(prof, ctx, np.zeros(2), 1.0, grid.x1, grid.x2)
         norms[r] = np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dA)
     assert norms[4.0] == pytest.approx(norms[1.0], rel=1e-10)
     expected = np.sqrt(2.0 * np.sqrt(np.pi) * np.sqrt(np.pi))  # |f|_2^2 = sqrt(pi)
     assert norms[1.0] == pytest.approx(expected, rel=1e-8)
     ctx4 = FrameContext(t=0.0, theta=0.0, theta_dot=0.0, r=4.0, r_dot=0.0,
                         hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-    v = sample_order0(prof, ctx4, np.zeros(2), 1.0, np.array([[0.0]]), np.array([[0.5]]))
+    v = sample_order0(prof, ctx4, np.zeros(2), 1.0, np.array([0.0]), np.array([0.5]))
     assert v[0, 0, 0] == pytest.approx(4.0**0.25 * np.exp(-4.0 * 0.25 / 2.0), rel=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_circle_b1_lab_value(circle_solver):
     vals = sample_hermite_amplitude(solver.b1(i), ctx, np.zeros(2), 1.0, z[0], z[1])
     spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
     expected = 0.5 * np.exp(-0.5) * ctx.theta_dot * spinor
-    assert np.max(np.abs(vals[:, 0] - expected)) <= 1e-6
+    assert np.max(np.abs(vals[:, 0, 0] - expected)) <= 1e-6
     assert abs(expected[0]) == pytest.approx(0.30327, abs=1e-5)
 
 
@@ -160,13 +160,12 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
         return out
 
     def samp_a0(j):
-        return sample_order0(GaussianProfile(), solver.context(j), y0, 1.0, X1, X2)
+        return sample_order0(GaussianProfile(), solver.context(j), y0, 1.0, grid.x1, grid.x2)
 
     def samp_a1(j):
         cj = solver.context(j)
-        out = sample_hermite_amplitude(solver.b1(j), cj, y0, 1.0, X1, X2)
-        f1 = solver.f1_values(j)
-        return out + sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), cj, y0, 1.0, X1, X2)
+        out = sample_hermite_amplitude(solver.b1(j), cj, y0, 1.0, grid.x1, grid.x2)
+        return out + sample_kernel_profile(solver.f1_values(j), solver.grid, cj, y0, 1.0, grid.x1, grid.x2)
 
     a0 = samp_a0(i)
     a1 = samp_a1(i)
@@ -179,7 +178,7 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     assert nrm(T0(a1) + t1a0) <= 2e-4 * nrm(t1a0)  # limited by the FD time derivative
     # the kernel part K f1 lies in the nullspace of T0
     f1 = solver.f1_values(i)
-    kf1 = sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), ctx, y0, 1.0, X1, X2)
+    kf1 = sample_kernel_profile(f1, solver.grid, ctx, y0, 1.0, grid.x1, grid.x2)
     assert nrm(T0(kf1)) <= 1e-8 * max(nrm(kf1), 1e-300)
 
 
@@ -258,7 +257,8 @@ def test_b2_is_kernel_orthogonal_and_healthy(circle_solver):
 
 def test_sample_hermite_amplitude_tube_mask_and_direct_sum():
     # zero wherever the canonical x1 coordinate leaves the amplitude's window;
-    # inside, the x1 Fourier sum times the x2 oscillator functions, point by point
+    # inside, the x1 Fourier sum times the x2 oscillator functions, point by
+    # point, on a square mesh and on one with n1 != n2 and l1 != l2
     grid = hermite.X1Grid(n=64, half_extent=6.0)
     rng = np.random.default_rng(5)
     amp = hermite.HermiteAmplitude.zeros(grid, hierarchy.N_BANDS)
@@ -267,20 +267,94 @@ def test_sample_hermite_amplitude_tube_mask_and_direct_sum():
     ctx = hierarchy.FrameContext(t=0.0, theta=0.7, theta_dot=0.0, r=1.6, r_dot=0.0,
                                  hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
     eps, y = 0.1, np.array([0.3, -0.2])
-    X1, X2 = Grid2D(32, 32, 3.0, 3.0).mesh()
-    got = sample_hermite_amplitude(amp, ctx, y, eps, X1, X2, chunk=300).reshape(2, -1)
-    u, v = hierarchy._frame_coords(ctx.theta, y, eps, X1, X2)
-    u, v = np.sqrt(ctx.r) * u.ravel(), np.sqrt(ctx.r) * v.ravel()
-    outside = np.abs(u) >= grid.half_extent
-    assert 100 < np.count_nonzero(outside) < u.size - 100
-    assert np.all(got[:, outside] == 0.0)
-    ui, vi = u[~outside], v[~outside]
-    fourier = np.exp(1j * np.outer(ui + grid.half_extent, grid.k)) / grid.n
-    tilde = np.einsum("pm,cmn,pn->cp", fourier, sfft.fft(amp.coeffs, axis=1),
-                      hermite.hermite_functions(amp.n_hermite, vi))
-    phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
-    direct = phase[:, None] * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
-    assert np.max(np.abs(got[:, ~outside] - direct)) <= 1e-12 * np.max(np.abs(direct))
+    for lab in (Grid2D(32, 32, 3.0, 3.0), Grid2D(32, 64, 3.0, 2.5)):
+        got = sample_hermite_amplitude(amp, ctx, y, eps, lab.x1, lab.x2)
+        assert got.shape == (2, lab.n1, lab.n2)
+        got = got.reshape(2, -1)
+        # canonical coordinates sqrt(r) R_theta (x - y)/sqrt(eps) at every mesh point
+        X1, X2 = lab.mesh()
+        z1, z2 = (X1.ravel() - y[0]) / np.sqrt(eps), (X2.ravel() - y[1]) / np.sqrt(eps)
+        c, s = np.cos(ctx.theta), np.sin(ctx.theta)
+        u, v = np.sqrt(ctx.r) * (c * z1 + s * z2), np.sqrt(ctx.r) * (-s * z1 + c * z2)
+        outside = np.abs(u) >= grid.half_extent
+        assert 100 < np.count_nonzero(outside) < u.size - 100
+        assert np.all(got[:, outside] == 0.0)
+        ui, vi = u[~outside], v[~outside]
+        fourier = np.exp(1j * np.outer(ui + grid.half_extent, grid.k)) / grid.n
+        tilde = np.einsum("pm,cmn,pn->cp", fourier, sfft.fft(amp.coeffs, axis=1),
+                          hermite.hermite_functions(amp.n_hermite, vi))
+        phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
+        direct = phase[:, None] * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
+        assert np.max(np.abs(got[:, ~outside] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_sample_kernel_profile_matches_pointwise_interpolant(circle_solver):
+    # the separable f1 packet equals sample_order0 of the pointwise interpolant,
+    # with exact zeros where the profile variable leaves the x1 window
+    solver, traj = circle_solver
+    i = traj.index_at(0.5)
+    ctx, f1 = solver.context(i), solver.f1_values(i)
+    lab = Grid2D(64, 32, 2.0, 1.5)
+    y = traj.y[i] + np.array([0.8, 0.0])
+    got = sample_kernel_profile(f1, solver.grid, ctx, y, 0.01, lab.x1, lab.x2)
+    ref = sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), ctx, y, 0.01, lab.x1, lab.x2)
+    zero = ref == 0.0
+    assert np.any(zero[0]) and not np.all(zero[0])
+    assert np.all(got[zero] == 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_residual_orders_share_one_pass(tanh_solver):
+    # each single-order residual is the same-order entry of the all-orders pass, bit for bit
+    solver, traj = tanh_solver
+    grid = Grid2D(128, 128, 3.0, 3.0)
+    both = hierarchy.ansatz_residuals((0, 1, 2), GaussianProfile(), traj, 0.5, grid, 0.1,
+                                      solver=solver, dt_fd=1e-3)
+    for m, pair in zip((0, 1, 2), both):
+        assert ansatz_residual(m, GaussianProfile(), traj, 0.5, grid, 0.1, solver=solver, dt_fd=1e-3) == pair
+    w2 = assemble_ansatz(2, GaussianProfile(), traj, 0.5, grid, 0.1, solver)
+    assert w2.norm() == both[2][1]
+
+
+def test_hierarchy_check_samples_each_term_once(monkeypatch, tmp_path):
+    # orders 0,1,2 over 3 eps and 3 stencil times: b1 and b2 sampled once per
+    # (eps, time), and b2 solved once per trajectory sample
+    from edgelab import experiments
+    from edgelab.config import load_config
+
+    calls = {"sample": 0, "b2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hierarchy, "sample_hermite_amplitude", counted("sample", sample_hermite_amplitude))
+    monkeypatch.setattr(CorrectorSolver, "_solve_b2", counted("b2", CorrectorSolver._solve_b2))
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "hierarchy_tanh.cfg"))
+    cfg.apply_overrides(["hierarchy.orders=0,1,2"])
+    result = experiments.run_experiment(cfg, str(tmp_path))
+    assert len(result["rows"]) == 9 and len(result["fits"]) == 3
+    assert calls == {"sample": 18, "b2": 3}
+
+
+class _SteeperDerivative(GaussianProfile):
+    def derivative(self, s):
+        return 1.5 * super().derivative(s)
+
+
+@pytest.mark.parametrize("profile", [_SteeperDerivative(), GaussianProfile(sigma=6.0)])
+def test_solvability_breach_raises(profile):
+    # along tanh r_t changes, so the b1 source carries the dilation of a0 twice:
+    # through the frame generator (spectral x1 derivative of the samples) and
+    # through d/dt a0 (the profile's own derivative).  Their kernel bands cancel
+    # only when the two agree: not for a wrong derivative, nor for a profile
+    # too wide for the x1 window, whose periodic samples differentiate otherwise
+    traj = integrate_trajectory(make_wall("tanh"), np.array([0.0, 0.0]), 0.02, 1e-3)
+    assert CorrectorSolver(GaussianProfile(), traj).max_solvability_residual() <= 1e-12
+    with pytest.raises(SolverError, match="solvability residual"):
+        CorrectorSolver(profile, traj)
 
 
 @pytest.mark.parametrize("family, params, y0", [("tanh", (), (0.0, 0.0)), ("circle", (1.0,), (1.0, 0.0))])
