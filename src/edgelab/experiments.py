@@ -504,18 +504,19 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     evolve_fits = {}
     if cfg.get("hierarchy.evolve_check"):
         T = times[-1]
-        for m in orders:
-            errs = []
-            for eps in eps_list:
-                ec, _, tr, grid = _prepare(cfg, wall, y0, eps, T)
-                sol = CorrectorSolver(profile, tr) if m > 0 else None
+        errs = {m: [] for m in orders}
+        for eps in eps_list:  # one set-up and one corrector solver per eps serve every order
+            ec, _, tr, grid = _prepare(cfg, wall, y0, eps, T)
+            sol = CorrectorSolver(profile, tr) if max(orders) > 0 else None
+            for m in orders:
                 initial = assemble_ansatz(m, profile, tr, 0.0, grid, eps, sol)
                 res = evolution.evolve(initial, wall, ec, T)
                 ref = assemble_ansatz(m, profile, tr, T, grid, eps, sol)
                 diag = evolution.overlap_diagnostics(res.final, ref, tr.y[-1], norm_ref=initial.norm())
-                errs.append((eps, diag.relative_error))
-            if len(errs) >= 3:
-                evolve_fits[m] = fit_loglog([e for e, _ in errs], [r for _, r in errs])
+                errs[m].append(diag.relative_error)
+        if len(eps_list) >= 3:
+            for m in orders:
+                evolve_fits[m] = fit_loglog(eps_list, errs[m])
                 extra.append(f"order {m} evolution error slope = {evolve_fits[m].slope!r} "
                              f"(theory {(m + 1) / 2.0})")
     _write_meta(out_dir, cfg, _wall_check_lines(wall, traj) + extra)
@@ -623,4 +624,18 @@ def run_check_suite():
     expected = 0.5 * (2 * grid.x - grid.x**3) * np.exp(-0.5 * grid.x**2) * traj.Theta[i]
     err = np.max(np.abs(f1 - expected)) / np.max(np.abs(expected))
     checks.append(("circle corrector golden", err <= 1e-6, f"rel err = {err:.2e}"))
+
+    # canonical Taylor polynomials of random frames against the lab ones at y = R_theta^T x / sqrt(r)
+    fr = hierarchy.FrameContext(0.0, rng.uniform(-np.pi, np.pi, 4), 0.0, rng.uniform(0.3, 3.0, 4), 0.0,
+                                rng.standard_normal((4, 2, 2)), rng.standard_normal((4, 2, 2, 2)))
+    x1, x2 = rng.standard_normal((2, 4, 8))  # 8 points per frame
+    y = np.stack(rotated_coords(-fr.theta[:, None], x1, x2), -1) / np.sqrt(fr.r)[:, None, None]
+    v1, v2 = (np.polynomial.polynomial.polyvander(x, 3) for x in (x1, x2))  # powers 0-3
+    p2, p3 = hierarchy._taylor_poly(fr.hessian, fr), hierarchy._taylor_poly(fr.third, fr)
+    canon2 = np.einsum("kij,kpi,kpj->kp", p2, v1[..., :3], v2[..., :3])
+    canon3 = np.einsum("kij,kpi,kpj->kp", p3, v1, v2)
+    lab2 = np.einsum("kij,kpi,kpj->kp", fr.hessian, y, y) / 2.0
+    lab3 = np.einsum("kijl,kpi,kpj,kpl->kp", fr.third, y, y, y) / 6.0
+    err = max(np.max(np.abs(canon2 - lab2)), np.max(np.abs(canon3 - lab3)))
+    checks.append(("closed-form frame rotation", err <= 1e-12, f"max err = {err:.2e} (p2, p3)"))
     return checks

@@ -12,7 +12,9 @@ oscillator index n): the ladder maps shift n with weight sqrt(2n+2), D_x1 is
 diagonal after an FFT in x1, and per Fourier-Hermite mode L reduces to the
 2x2 matrix [[0, s], [s, 2 xi]] with s = sqrt(2n+2).  Its kernel is exactly
 the n = 0 band of the first component, which carries the propagating profile;
-the inverse on the orthogonal complement is the per-mode matrix inverse.
+the inverse on the orthogonal complement is the per-mode matrix inverse.  The
+operator primitives act on coefficient arrays (..., 2, N1, nb), so they
+broadcast over leading axes such as a block of trajectory samples.
 
 Multiplication by a polynomial of degree d in x2 raises the band by at most
 d, so the hierarchy derives its band count from the polynomial degrees
@@ -39,7 +41,6 @@ __all__ = [
     "hermite_synthesize",
     "hermite_analyze",
     "default_x2_grid",
-    "poly_rotate_scale",
     "apply_poly_sigma1",
     "mode_phases",
     "trig_interp_matrix",
@@ -97,9 +98,6 @@ class HermiteAmplitude:
     def zeros(cls, grid, n_hermite):
         return cls(grid, np.zeros((2, grid.n, n_hermite), dtype=complex))
 
-    def copy(self):
-        return HermiteAmplitude(self.grid, self.coeffs.copy())
-
     def norm(self):
         """L2 norm of the reconstructed field (Parseval in the (x1, n) coefficients)."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.grid.dx))
@@ -112,16 +110,8 @@ class HermiteAmplitude:
         top = np.sum(np.abs(self.coeffs[:, :, -2:]) ** 2)
         return float(top / total)
 
-    def __add__(self, other):
-        return HermiteAmplitude(self.grid, self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         return HermiteAmplitude(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return HermiteAmplitude(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
 
 
 def hermite_functions(n_max, x):
@@ -192,7 +182,7 @@ def dx2_op(c):
 
 
 def d1_op(c, grid):
-    """D_x1 = -i d/dx1 by Fourier multiplication along the x1 axis."""
+    """D_x1 = -i d/dx1 by Fourier multiplication along the x1 axis of (..., N1, nb) coefficients."""
     ch = sfft.fft(c, axis=-2)
     ch *= grid.k[:, None]
     return sfft.ifft(ch, axis=-2)
@@ -207,18 +197,19 @@ def apply_L(a: HermiteAmplitude) -> HermiteAmplitude:
     return HermiteAmplitude(a.grid, out)
 
 
-def kernel_project(a: HermiteAmplitude, r=1.0):
+def kernel_project(a, r=1.0):
     """Split off the kernel part (first component, band 0) of an amplitude.
 
+    ``a`` is a HermiteAmplitude or a coefficient array (..., 2, N1, nb).
     Returns (f, remainder): ``f`` is the profile on the x1 grid such that the
     kernel part equals the canonical embedding of f at gradient magnitude r,
-    and the remainder is orthogonal to the kernel.
+    and the remainder, of the same form as ``a``, is orthogonal to the kernel.
     """
-    band = a.coeffs[0, :, 0].copy()
-    rem = a.copy()
-    rem.coeffs[0, :, 0] = 0.0
-    f = band / (_KERNEL_NORM * r**0.25)
-    return f, rem
+    c = a.coeffs if isinstance(a, HermiteAmplitude) else a
+    rem = c.copy()
+    rem[..., 0, :, 0] = 0.0
+    f = c[..., 0, :, 0] / (_KERNEL_NORM * r**0.25)
+    return f, HermiteAmplitude(a.grid, rem) if isinstance(a, HermiteAmplitude) else rem
 
 
 def kernel_amplitude(f_values, grid, n_hermite, r=1.0) -> HermiteAmplitude:
@@ -228,31 +219,33 @@ def kernel_amplitude(f_values, grid, n_hermite, r=1.0) -> HermiteAmplitude:
     return out
 
 
-def invert_L(a: HermiteAmplitude) -> HermiteAmplitude:
+def invert_L(a, grid=None):
     """Solve L b = a on the kernel's orthogonal complement.
 
-    The kernel part of ``a`` is projected away first.  Per Fourier mode xi and
-    band n the operator is [[0, s], [s, 2 xi]] with s = sqrt(2n+2) and
-    determinant -s^2, so
+    ``a`` is a HermiteAmplitude, or a coefficient array (..., 2, N1, nb) on
+    ``grid``; the result has the same form.  The kernel part of ``a`` is
+    projected away first.  Per Fourier mode xi and band n the operator is
+    [[0, s], [s, 2 xi]] with s = sqrt(2n+2) and determinant -s^2, so
 
         b = (1/(2n+2)) [[-2 xi, s], [s, 0]] a.
 
     The output satisfies apply_L(b) = a (minus the projected kernel part and
     top-band truncation) and has no kernel component.
     """
-    _, src = kernel_project(a)
-    ah = sfft.fft(src.coeffs, axis=1)
+    amp = isinstance(a, HermiteAmplitude)
+    c, grid = (a.coeffs, a.grid) if amp else (a, grid)
+    _, src = kernel_project(c)
+    ah = sfft.fft(src, axis=-2)
     out = np.zeros_like(ah)
-    nh = a.n_hermite
-    xi = a.grid.k
-    n = np.arange(nh - 1)
-    s = np.sqrt(2.0 * n + 2.0)
-    w1 = ah[0, :, 1:]  # pairs with band n of the second component
-    w2 = ah[1, :, :-1]
-    out[0, :, 1:] = (-2.0 * xi[:, None] * w1 + s * w2) / (s * s)
-    out[1, :, :-1] = w1 / s
+    xi = grid.k
+    s = np.sqrt(2.0 * np.arange(c.shape[-1] - 1) + 2.0)
+    w1 = ah[..., 0, :, 1:]  # pairs with band n of the second component
+    w2 = ah[..., 1, :, :-1]
+    out[..., 0, :, 1:] = (-2.0 * xi[:, None] * w1 + s * w2) / (s * s)
+    out[..., 1, :, :-1] = w1 / s
     # second component's top band has no partner inside the truncation
-    return HermiteAmplitude(a.grid, sfft.ifft(out, axis=1))
+    b = sfft.ifft(out, axis=-2)
+    return HermiteAmplitude(grid, b) if amp else b
 
 
 # -- synthesis / analysis -----------------------------------------------------
@@ -303,68 +296,30 @@ def hermite_analyze(fields, grid: X1Grid, x2, n_hermite) -> HermiteAmplitude:
 # -- polynomial multiplication algebra ---------------------------------------
 
 
-def poly_rotate_scale(coeff, theta, scale):
-    """Substitute x -> R_theta^T x / scale into a bivariate polynomial.
+def apply_poly(c, coeff, grid: X1Grid):
+    """Multiply coefficients (..., 2, N1, nb) by canonical-frame polynomials: x1 diagonal, x2 via ladders.
 
-    ``coeff`` is a (d+1, d+1) matrix with coeff[i, j] multiplying x1^i x2^j.
-    Used to pull wall Taylor polynomials (lab orientation) into the canonical
-    frame, where x1 acts diagonally and x2 through the ladder maps.
+    ``coeff`` is (..., d+1, d+1), broadcasting against the leading axes of
+    ``c``, with coeff[..., i, j] multiplying x1^i x2^j.  Monomials whose
+    coefficient is zero throughout are skipped.
     """
     coeff = np.asarray(coeff, dtype=float)
-    d = coeff.shape[0] - 1
-    c, s = np.cos(theta), np.sin(theta)
-    # lab coordinates as linear forms in canonical ones
-    l1 = np.zeros((2, 2))
-    l1[1, 0], l1[0, 1] = c / scale, -s / scale  # x_lab1 = (c x1 - s x2)/scale
-    l2 = np.zeros((2, 2))
-    l2[1, 0], l2[0, 1] = s / scale, c / scale  # x_lab2 = (s x1 + c x2)/scale
-
-    def pmul(p, q):
-        out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1))
-        for i in range(p.shape[0]):
-            for j in range(p.shape[1]):
-                if p[i, j] != 0.0:
-                    out[i : i + q.shape[0], j : j + q.shape[1]] += p[i, j] * q
-        return out
-
-    powers1 = [np.array([[1.0]])]
-    powers2 = [np.array([[1.0]])]
-    for _ in range(d):
-        powers1.append(pmul(powers1[-1], l1))
-        powers2.append(pmul(powers2[-1], l2))
-    out = np.zeros((d + 1, d + 1))
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if coeff[i, j] != 0.0:
-                term = coeff[i, j] * pmul(powers1[i], powers2[j])
-                out[: term.shape[0], : term.shape[1]] += term[: d + 1, : d + 1]
-    return out
-
-
-def apply_poly(a: HermiteAmplitude, coeff) -> HermiteAmplitude:
-    """Multiply by a canonical-frame polynomial: x1 diagonal, x2 via ladders."""
-    coeff = np.asarray(coeff, dtype=float)
-    x = a.grid.x
-    out = np.zeros_like(a.coeffs)
-    for j in range(coeff.shape[1]):
-        col = np.zeros_like(a.coeffs)
-        any_term = False
-        for i in range(coeff.shape[0]):
-            if coeff[i, j] != 0.0:
-                col += coeff[i, j] * (x[:, None] ** i) * a.coeffs
-                any_term = True
-        if not any_term:
+    out = np.zeros(np.broadcast_shapes(coeff.shape[:-2] + (1, 1, 1), c.shape), dtype=complex)
+    for j in range(coeff.shape[-1]):
+        terms = [(coeff[..., i, j, None] * grid.x**i)[..., None, :, None] * c
+                 for i in range(coeff.shape[-2]) if np.any(coeff[..., i, j])]
+        if not terms:
             continue
+        col = sum(terms)
         for _ in range(j):
             col = x2_mult(col)
         out += col
-    return HermiteAmplitude(a.grid, out)
+    return out
 
 
-def apply_poly_sigma1(a: HermiteAmplitude, coeff) -> HermiteAmplitude:
-    """Multiply by poly * sigma3 in the lab spinor frame = poly * sigma1 on tilde components."""
-    p = apply_poly(a, coeff)
-    return HermiteAmplitude(a.grid, p.coeffs[::-1].copy())
+def apply_poly_sigma1(c, coeff, grid: X1Grid):
+    """Multiply by poly * sigma3 in the lab spinor frame = poly * sigma1 on tilde components (see apply_poly)."""
+    return apply_poly(c, coeff, grid)[..., ::-1, :, :]
 
 
 def mode_phases(grid: X1Grid, points, scale=1.0):

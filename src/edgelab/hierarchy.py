@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import math
 
 import numpy as np
 from scipy import fft as sfft
@@ -40,7 +42,6 @@ from .straight import edge_spinor, rotated_coords
 __all__ = [
     "FrameContext",
     "frame_context",
-    "build_leading_amplitude",
     "CorrectorSolver",
     "corrector_first_order",
     "assemble_ansatz",
@@ -55,12 +56,18 @@ __all__ = [
 
 DEFAULT_X1_GRID = X1Grid(n=256, half_extent=12.0)
 # Oscillator bands of every hierarchy amplitude, from the polynomial degrees:
-# a0 sits in band 0; T1 (frame generator, quadratic Taylor term) raises the
-# band by at most 2, T2 (cubic Taylor term) by at most 3, and invert_L shifts
-# it by +-1.  So b1 = L^-1 T1 a0 fills bands 0-3 and b2 = L^-1 (T1 b1 + T2 a0
-# + T1 K f1) fills bands 0-6: 7 bands, plus 2 guard bands that
-# truncation_health reads and that must stay exactly zero.
+# T1 (frame generator, quadratic Taylor term) raises the band by at most 2, T2
+# (cubic Taylor term) by at most 3, and invert_L shifts it by +-1.  So a0 sits
+# in band 0, T1 a0 in bands 0-2, b1 = L^-1 T1 a0 in bands 0-3, the b2 source
+# T1 b1 + T2 a0 + T1 K f1 in bands 0-5 (0-5, 0-3, 0-2) and b2 in bands 0-6:
+# 7 bands, plus 2 guard bands that truncation_health reads and that must stay
+# exactly zero.  The corrector sweep carries b1 on its 4 bands plus the 2
+# guard bands (min(N_BANDS, 6)); b2 solves widen it to N_BANDS.  T2 a0 has no
+# first component (a0 lies in the first one, and T2 carries sigma1), so the f1
+# transport, which reads only the kernel band, skips it.
 N_BANDS = 9
+_B1_BANDS = 4
+SWEEP_BLOCK = 16  # trajectory samples per block of the corrector sweep
 
 SOLVABILITY_TOL = 1e-6  # largest kernel-band share of the b1 source (runs sit near 2e-14)
 
@@ -69,7 +76,8 @@ _KERNEL_TRANSPORT = np.pi**0.25 / np.sqrt(2.0 * np.pi)  # kernel band -> D_t f f
 
 @dataclasses.dataclass(frozen=True)
 class FrameContext:
-    """Frame and wall Taylor data at one trajectory sample."""
+    """Frame and wall Taylor data at one trajectory sample, or over a block of B samples,
+    where each field gains a leading sample axis: (B,), (B, 2, 2) and (B, 2, 2, 2)."""
 
     t: float
     theta: float
@@ -80,136 +88,121 @@ class FrameContext:
     third: np.ndarray  # (2, 2, 2) at y_t
 
 
-def frame_context(traj, i, hessian=None, third=None) -> FrameContext:
+def frame_context(traj, i) -> FrameContext:
     s = traj.sample(i)
-    if hessian is None:
-        hessian = traj.wall.hessian(s.y)
-    if third is None:
-        third = traj.wall.third(s.y)
     return FrameContext(
         t=s.t, theta=s.theta, theta_dot=s.theta_dot, r=s.r, r_dot=s.r_dot,
-        hessian=np.asarray(hessian), third=np.asarray(third),
+        hessian=np.asarray(traj.wall.hessian(s.y)), third=np.asarray(traj.wall.third(s.y)),
     )
 
 
 # -- canonical-frame operator actions -----------------------------------------
+# Operators act on coefficient arrays (..., 2, N1, nb): one sample's with a
+# scalar FrameContext, a block's (B, 2, N1, nb) with a block FrameContext.
 
 
-def _p2_canonical(ctx: FrameContext):
-    """Quadratic wall Taylor polynomial, pulled into the canonical frame."""
-    H = ctx.hessian
-    lab = np.zeros((3, 3))
-    lab[2, 0] = 0.5 * H[0, 0]
-    lab[1, 1] = H[0, 1]
-    lab[0, 2] = 0.5 * H[1, 1]
-    return hermite.poly_rotate_scale(lab, ctx.theta, np.sqrt(ctx.r))
+def _per_sample(v):
+    """Frame scalars, () or (B,), shaped to broadcast against (..., 2, N1, nb) coefficients."""
+    return np.asarray(v, dtype=float)[..., None, None, None]
 
 
-def _p3_canonical(ctx: FrameContext):
-    """Cubic wall Taylor polynomial in the canonical frame."""
-    T = ctx.third
-    lab = np.zeros((4, 4))
-    lab[3, 0] = T[0, 0, 0] / 6.0
-    lab[2, 1] = T[0, 0, 1] / 2.0
-    lab[1, 2] = T[0, 1, 1] / 2.0
-    lab[0, 3] = T[1, 1, 1] / 6.0
-    return hermite.poly_rotate_scale(lab, ctx.theta, np.sqrt(ctx.r))
+_CONTRACTIONS = {2: "...ia,...jb,...ij->...ab", 3: "...ia,...jb,...kc,...ijk->...abc"}
 
 
-def apply_frame_generator(a: HermiteAmplitude, ctx: FrameContext) -> HermiteAmplitude:
-    """G c: time derivative of the frame map at frozen canonical coordinates."""
-    c = a.coeffs
-    out = -0.5j * ctx.theta_dot * c[::-1]  # -i(theta_dot/2) sigma3 -> sigma1 on tilde components
-    d1 = 1j * hermite.d1_op(c, a.grid)  # d/dx1
-    d2 = hermite.dx2_op(c)
-    x1 = a.grid.x[:, None]
-    if ctx.r_dot != 0.0:
-        out = out + (ctx.r_dot / (2.0 * ctx.r)) * (x1 * d1 + hermite.x2_mult(d2))
-    out = out + ctx.theta_dot * (hermite.x2_mult(d1) - x1 * d2)
-    return HermiteAmplitude(a.grid, out)
+def _taylor_poly(tensor, ctx: FrameContext):
+    """(1/d!) tensor[x_lab, ..., x_lab] at x_lab = M x, M = R_theta^T / sqrt(r), as canonical monomials.
 
-
-def apply_T1(a: HermiteAmplitude, dt_coeffs, ctx: FrameContext, p2) -> HermiteAmplitude:
-    """T1 = D_t + (quadratic Taylor) sigma3, acting on a canonical amplitude.
-
-    ``dt_coeffs`` is the explicit time derivative of the canonical
-    coefficients (a HermiteAmplitude or None); the frame part of D_t is
-    applied analytically.  ``p2`` is ``_p2_canonical(ctx)``, which callers
-    build once per sample.
+    ``tensor`` is the wall's Hessian (d = 2) or third-derivative tensor (d = 3)
+    at the sample(s) of ``ctx``.  Contracting it with M on every axis gives the
+    canonical tensor (H' = M^T H M for the Hessian); coefficient [..., i, j] of
+    x1^i x2^j, of shape (..., d+1, d+1), sums its entries over the index tuples
+    with i zeros and j ones.
     """
-    g = apply_frame_generator(a, ctx)
-    total = g.coeffs if dt_coeffs is None else g.coeffs + dt_coeffs.coeffs
-    out = -1j * total
-    quad = hermite.apply_poly_sigma1(a, p2)
-    return HermiteAmplitude(a.grid, out + quad.coeffs)
+    c, s = np.cos(ctx.theta), np.sin(ctx.theta)
+    M = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2) / np.sqrt(ctx.r)[..., None, None]
+    d = np.ndim(tensor) - np.ndim(ctx.theta)
+    canon = np.einsum(_CONTRACTIONS[d], *[M] * d, np.asarray(tensor) / math.factorial(d))
+    coeff = np.zeros(canon.shape[:-d] + (d + 1, d + 1))
+    for idx in itertools.product((0, 1), repeat=d):
+        coeff[..., d - sum(idx), sum(idx)] += canon[(Ellipsis,) + idx]
+    return coeff
 
 
-def apply_T2(a: HermiteAmplitude, ctx: FrameContext) -> HermiteAmplitude:
+def apply_frame_generator(c, ctx: FrameContext, grid: X1Grid):
+    """G c: time derivative of the frame map at frozen canonical coordinates."""
+    theta_dot = _per_sample(ctx.theta_dot)
+    out = -0.5j * theta_dot * c[..., ::-1, :, :]  # -i(theta_dot/2) sigma3 -> sigma1 on tilde components
+    d1 = 1j * hermite.d1_op(c, grid)  # d/dx1
+    d2 = hermite.dx2_op(c)
+    x1 = grid.x[:, None]
+    if np.any(ctx.r_dot):
+        out = out + (_per_sample(ctx.r_dot) / (2.0 * _per_sample(ctx.r))) * (x1 * d1 + hermite.x2_mult(d2))
+    return out + theta_dot * (hermite.x2_mult(d1) - x1 * d2)
+
+
+def apply_T1(c, dt_c, ctx: FrameContext, p2, grid: X1Grid):
+    """T1 = D_t + (quadratic Taylor) sigma3, acting on canonical coefficients.
+
+    ``dt_c`` is the explicit time derivative of the canonical coefficients;
+    the frame part of D_t is applied analytically.  ``p2`` is
+    ``_taylor_poly(ctx.hessian, ctx)``, which callers build once per block.
+    """
+    return -1j * (apply_frame_generator(c, ctx, grid) + dt_c) + hermite.apply_poly_sigma1(c, p2, grid)
+
+
+def apply_T2(c, ctx: FrameContext, grid: X1Grid):
     """T2 = (cubic Taylor) sigma3."""
-    return hermite.apply_poly_sigma1(a, _p3_canonical(ctx))
+    return hermite.apply_poly_sigma1(c, _taylor_poly(ctx.third, ctx), grid)
 
 
-# -- leading amplitude ---------------------------------------------------------
+def _leading(profile: Profile, ctx: FrameContext, grid: X1Grid, n_bands):
+    """Block of leading amplitudes a0 (all weight in band 0) and the explicit d/dt of their
+    coefficients through r_t (the profile itself is static), each (B, 2, N1, n_bands)."""
+    # The b1 source is the small remainder of a0-sized terms that cancel, so
+    # b1 magnifies a last-bit change in a0 several hundredfold.  The powers of
+    # r are taken sample by sample with Python's float pow, as a one-sample
+    # frame's scalars are: numpy's vectorised pow rounds some differently.
+    r_q, r_m = (np.array([r**p for r in ctx.r.tolist()])[:, None] for p in (0.25, -0.75))
+    u = grid.x / np.sqrt(ctx.r[:, None])
+    f = profile(u)
+    a0 = np.zeros((len(ctx.r), 2, grid.n, n_bands), dtype=complex)
+    dt_a0 = np.zeros_like(a0)
+    a0[:, 0, :, 0] = hermite._KERNEL_NORM * r_q * f
+    dt_a0[:, 0, :, 0] = hermite._KERNEL_NORM * (
+        ctx.r_dot[:, None] * r_m * (0.25 * f - 0.5 * u * profile.derivative(u)))
+    return a0, dt_a0
 
 
-def build_leading_amplitude(profile, ctx: FrameContext, grid=DEFAULT_X1_GRID):
-    """Canonical coefficients of the kernel state with profile f: all weight in band 0."""
-    f_vals = profile(grid.x / np.sqrt(ctx.r))
-    return hermite.kernel_amplitude(f_vals, grid, N_BANDS, r=ctx.r)
-
-
-def leading_dt_coeffs(profile: Profile, ctx: FrameContext, grid=DEFAULT_X1_GRID):
-    """Explicit d/dt of the leading coefficients through r_t (profile itself is static)."""
-    out = HermiteAmplitude.zeros(grid, N_BANDS)
-    if ctx.r_dot == 0.0:
-        return out
-    u = grid.x / np.sqrt(ctx.r)
-    band = ctx.r_dot * ctx.r**-0.75 * (0.25 * profile(u) - 0.5 * u * profile.derivative(u))
-    out.coeffs[0, :, 0] = hermite._KERNEL_NORM * band
+def _widen(c, n_bands):
+    """Coefficients (..., nb) zero-padded to n_bands bands."""
+    out = np.zeros(c.shape[:-1] + (n_bands,), dtype=complex)
+    out[..., : c.shape[-1]] = c
     return out
 
 
-def _kernel_coeffs_from_values(f_vals_profile_var, ctx, grid):
-    """Embed profile samples (profile variable, on grid.x) at gradient scale r."""
-    vals = hermite.eval_on_points(f_vals_profile_var, grid, grid.x / np.sqrt(ctx.r))
-    return hermite.kernel_amplitude(vals, grid, N_BANDS, r=ctx.r)
+def _require_untruncated(c, name):
+    """Raises SolverError unless the top two bands of coefficients (..., 2, N1, nb) are exactly zero."""
+    if np.any(c[..., -2:]):
+        weight = np.abs(c.reshape(-1, *c.shape[-3:])) ** 2
+        top, total = np.sum(weight[..., -2:], axis=(1, 2, 3)), np.sum(weight, axis=(1, 2, 3))
+        raise SolverError(f"{name} carries {np.max(top / np.maximum(total, 1e-300)):.2e} of its weight in "
+                          f"the top two of {c.shape[-1]} Hermite bands: the band count is too small")
 
 
-def _kernel_dt_coeffs_from_values(f_vals, dtf_vals, ctx, grid):
-    """d/dt of the embedded kernel state when the profile itself depends on t."""
-    u = grid.x / np.sqrt(ctx.r)
-    f_u = hermite.eval_on_points(f_vals, grid, u)
-    dtf_u = hermite.eval_on_points(dtf_vals, grid, u)
-    fp = sfft.ifft(1j * grid.k * sfft.fft(np.asarray(f_vals, dtype=complex)))
-    fp_u = hermite.eval_on_points(fp, grid, u)
-    band = ctx.r**0.25 * (
-        dtf_u + (ctx.r_dot / (4.0 * ctx.r)) * f_u - (ctx.r_dot / (2.0 * ctx.r)) * u * fp_u
-    )
-    out = HermiteAmplitude.zeros(grid, N_BANDS)
-    out.coeffs[0, :, 0] = hermite._KERNEL_NORM * band
-    return out
-
-
-def _require_untruncated(amp: HermiteAmplitude, name):
-    """truncation_health of a corrector; raises SolverError unless it is exactly 0."""
-    health = amp.truncation_health()
-    if health > 0.0:
-        raise SolverError(f"{name} carries {health:.2e} of its weight in the top two of "
-                          f"{amp.n_hermite} Hermite bands: the band count is too small")
-    return health
-
-
-def _time_derivative(b, i, n, dt):
-    """d/dt at sample i of n from b(k): central inside, one-sided second order at the ends."""
-    if n == 1:
-        return b(i) * 0.0
+def _time_derivative(b, b0, lo, hi, n, dt):
+    """d/dt at samples lo..hi-1 of n from the block b, which holds samples b0, b0 + 1, ...:
+    central inside, one-sided second order at the ends."""
+    out = np.zeros((hi - lo,) + b.shape[1:], dtype=b.dtype)
     if n == 2:
-        return (b(1) - b(0)) * (1.0 / dt)
-    if 0 < i < n - 1:
-        return (b(i + 1) - b(i - 1)) * (1.0 / (2.0 * dt))
-    if i == 0:
-        return (-3.0 * b(0) + 4.0 * b(1) - b(2)) * (1.0 / (2.0 * dt))
-    return (3.0 * b(i) - 4.0 * b(i - 1) + b(i - 2)) * (1.0 / (2.0 * dt))
+        out[:] = (b[1 - b0] - b[0 - b0]) * (1.0 / dt)
+    elif n > 2:
+        i, j = max(lo, 1), min(hi, n - 1)
+        out[i - lo : j - lo] = (b[i + 1 - b0 : j + 1 - b0] - b[i - 1 - b0 : j - 1 - b0]) * (1.0 / (2.0 * dt))
+        if lo == 0:
+            out[0] = (-3.0 * b[0 - b0] + 4.0 * b[1 - b0] - b[2 - b0]) * (1.0 / (2.0 * dt))
+        if hi == n:
+            out[-1] = (3.0 * b[n - 1 - b0] - 4.0 * b[n - 2 - b0] + b[n - 3 - b0]) * (1.0 / (2.0 * dt))
+    return out
 
 
 # -- corrector solver ----------------------------------------------------------
@@ -218,101 +211,119 @@ def _time_derivative(b, i, n, dt):
 class CorrectorSolver:
     """Solves the first two corrector equations along a trajectory.
 
-    The solver walks the trajectory once, building b1 at each sample, taking
-    its time derivative by central differences, and integrating the
-    kernel-band transport equation for f1 (trapezoid rule, f1(0) = 0).  The
-    per-sample kernel component of the b1 source is recorded: it must vanish
-    up to discretization (the solvability identity), so its size diagnoses
-    profile, derivative or frame-rate inconsistencies; above SOLVABILITY_TOL it raises
-    SolverError, as does any weight of b1 or b2 in the top two Hermite bands.
+    One sweep over blocks of SWEEP_BLOCK samples, every operator acting on a
+    whole block, builds b1 = -L^-1 (T1 a0) / sqrt(r), its time derivative by
+    differences across samples, and f1 by integrating the kernel-band
+    transport equation (trapezoid rule, f1(0) = 0).  That band is the one of
+    beta1 = -(T1 b1 + T2 a0), so the sweep applies T1 to b1's bands 0-3 and
+    skips T2 a0, which has none (see N_BANDS).
+
+    The kernel share of each b1 source, the solvability residual, must vanish
+    up to discretization; above SOLVABILITY_TOL it raises SolverError.  It
+    catches a profile whose derivative disagrees with its values, or one wider
+    than the x1 window, and is blind to errors in the wall Hessian, theta_dot
+    and r_dot.  Any weight of b1 or b2 in their top two Hermite bands raises
+    SolverError as well.
     """
 
     def __init__(self, profile: Profile, traj, grid=DEFAULT_X1_GRID):
         self.profile = profile
         self.traj = traj
         self.grid = grid
-        n = len(traj)
+        n, dt = len(traj), traj.dt
         self._H = traj.wall.hessian(traj.y)
         self._T = traj.wall.third(traj.y)
-        self._ctx = [frame_context(traj, i, self._H[i], self._T[i]) for i in range(n)]
+        self.dtf1 = np.zeros((n, grid.n), dtype=complex)
+        self.solvability = np.zeros(n)
+        self.truncation_max = 0.0  # truncation health of b1: _require_untruncated raises unless it is 0
+        # d/dt f1 at sample j is finished once b1 covers its difference stencil,
+        # so it lags b1 by one sample; the window holds b1 from sample w0 on,
+        # one before the first unfinished sample: 2 samples across a block edge
+        window, w0, done = None, 0, 0
+        for lo in range(0, n, SWEEP_BLOCK):
+            hi = min(lo + SWEEP_BLOCK, n)
+            b1 = self._b1_block(lo, hi, self.solvability)
+            _require_untruncated(b1, "b1")
+            window = b1 if window is None else np.concatenate([window, b1])
+            stop = n if hi == n else (hi - 1 if hi >= 3 else 0)
+            if stop > done:
+                dtb1 = _time_derivative(window, w0, done, stop, n, dt)
+                self.dtf1[done:stop] = self._dtf1_block(done, stop, window[done - w0 : stop - w0], dtb1)
+                done = stop
+            keep = max(done - 1, w0)
+            window, w0 = window[keep - w0 :], keep
 
-        # streaming pass: b1 with a 3-sample window, f1 by trapezoid; sample j
-        # is finished once the window holds its whole difference stencil
-        dt = traj.dt
-        terms, window = {}, {}
-        dtf1 = np.zeros((n, grid.n), dtype=complex)
-        solv = np.zeros(n)
-        self.truncation_max = 0.0
-        done = 0
-        for i in range(n):
-            terms[i] = self._sample_terms(i)
-            window[i] = self._solve_b1(i, *terms[i], solv)
-            terms.pop(i - 3, None)
-            window.pop(i - 3, None)
-            self.truncation_max = max(self.truncation_max, _require_untruncated(window[i], "b1"))
-            while done < n and min(n - 1, max(done + 1, 2)) <= i:
-                dtf1[done] = self._dtf1_at(done, *terms[done], window[done],
-                                           _time_derivative(window.get, done, n, dt))
-                done += 1
-
-        self.dtf1 = dtf1
-        self.solvability = solv
-        if n and float(np.max(solv)) > SOLVABILITY_TOL:
-            raise SolverError(f"corrector solvability residual {float(np.max(solv)):.2e} exceeds "
-                              f"{SOLVABILITY_TOL:g}: the profile, its derivative and the frame data "
-                              "disagree, or the x1 grid does not hold the profile")
+        if n and float(np.max(self.solvability)) > SOLVABILITY_TOL:
+            raise SolverError(f"corrector solvability residual {float(np.max(self.solvability)):.2e} "
+                              f"exceeds {SOLVABILITY_TOL:g}: the profile's derivative disagrees with "
+                              "its values, or the profile is wider than the x1 window (errors in the "
+                              "wall Hessian, theta_dot or r_dot do not show here)")
         self.f1 = np.zeros((n, grid.n), dtype=complex)
         if n > 1:
-            np.cumsum(0.5 * dt * (dtf1[1:] + dtf1[:-1]), axis=0, out=self.f1[1:])
+            np.cumsum(0.5 * dt * (self.dtf1[1:] + self.dtf1[:-1]), axis=0, out=self.f1[1:])
         # per-sample caches: a difference stencil reads b1 at neighbouring samples
-        self._b1 = functools.lru_cache(17)(lambda j: self._solve_b1(j, *self._sample_terms(j)))
+        self._b1 = functools.lru_cache(17)(
+            lambda i: HermiteAmplitude(grid, _widen(self._b1_block(i, i + 1)[0], N_BANDS)))
         self._b2 = functools.lru_cache(17)(self._solve_b2)
 
-    # -- per-sample pieces
+    # -- per-block pieces
 
     def context(self, i) -> FrameContext:
-        return self._ctx[i]
+        return frame_context(self.traj, i)
 
-    def leading(self, i) -> HermiteAmplitude:
-        return build_leading_amplitude(self.profile, self._ctx[i], self.grid)
+    def _frames(self, lo, hi) -> FrameContext:
+        """FrameContext of samples lo..hi-1, taken from the trajectory fields."""
+        tr, s = self.traj, slice(lo, hi)
+        return FrameContext(t=tr.t[s], theta=tr.theta[s], theta_dot=tr.theta_dot[s], r=tr.r[s],
+                            r_dot=tr.r_dot[s], hessian=self._H[s], third=self._T[s])
 
-    def _sample_terms(self, i):
-        """Per-sample invariants: the leading amplitude a0 and _p2_canonical of the frame."""
-        return self.leading(i), _p2_canonical(self._ctx[i])
-
-    def _solve_b1(self, i, a0, p2, solv_out=None):
-        ctx = self._ctx[i]
-        src = apply_T1(a0, leading_dt_coeffs(self.profile, ctx, self.grid), ctx, p2)
+    def _b1_block(self, lo, hi, solv_out=None):
+        """b1 at samples lo..hi-1 on its bands plus 2 guard bands: (B, 2, N1, min(N_BANDS, 6))."""
+        ctx = self._frames(lo, hi)
+        a0, dt_a0 = _leading(self.profile, ctx, self.grid, _B1_BANDS - 1)  # T1 a0 fills bands 0-2
+        src = apply_T1(a0, dt_a0, ctx, _taylor_poly(ctx.hessian, ctx), self.grid)
         band, projected = hermite.kernel_project(src)
         if solv_out is not None:
-            nrm = src.norm()
-            band_norm = float(np.linalg.norm(band)) * np.sqrt(self.grid.dx) * hermite._KERNEL_NORM
-            solv_out[i] = band_norm / nrm if nrm > 1e-300 else 0.0
-        b1 = hermite.invert_L(projected)
-        return b1 * (-1.0 / np.sqrt(ctx.r))
+            # norms summed in the order of one sample's N_BANDS-band amplitude
+            dx = self.grid.dx
+            nrm = np.sqrt(np.sum(np.abs(_widen(src, N_BANDS).reshape(hi - lo, -1)) ** 2, axis=1) * dx)
+            band_norm = np.array([np.linalg.norm(f) for f in band]) * np.sqrt(dx) * hermite._KERNEL_NORM
+            np.divide(band_norm, nrm, out=solv_out[lo:hi], where=nrm > 1e-300)
+        b1 = hermite.invert_L(_widen(projected, min(N_BANDS, _B1_BANDS + 2)), self.grid)
+        return b1 * _per_sample(-1.0 / np.sqrt(ctx.r))
+
+    def _dtf1_block(self, lo, hi, b1, dtb1):
+        """d/dt f1 at samples lo..hi-1 in the profile variable: i * (kernel band of beta1), which is
+        the kernel band of -T1 b1."""
+        ctx = self._frames(lo, hi)
+        p2 = _taylor_poly(ctx.hessian, ctx)
+        t1b1 = apply_T1(b1[..., :_B1_BANDS], dtb1[..., :_B1_BANDS], ctx, p2, self.grid)
+        out = np.empty((hi - lo, self.grid.n), dtype=complex)
+        for k in range(hi - lo):  # one dilation table at a time keeps memory flat
+            band = -t1b1[k, 0, :, 0]
+            out[k] = 1j * _KERNEL_TRANSPORT * hermite.eval_on_points(band, self.grid,
+                                                                     np.sqrt(ctx.r[k]) * self.grid.x)
+        return out
+
+    def _kernel_f1(self, i, ctx: FrameContext):
+        """K f1 at sample i and the explicit d/dt of its coefficients, (1, 2, N1, N_BANDS) each.
+
+        f1, d/dt f1 and f1' are interpolated at u = x/sqrt(r) with one dilation table."""
+        g, r, r_dot = self.grid, ctx.r[0], ctx.r_dot[0]
+        u = g.x / np.sqrt(r)
+        fp = sfft.ifft(1j * g.k * sfft.fft(self.f1[i]))
+        f_u, dtf_u, fp_u = hermite.eval_on_points(np.stack([self.f1[i], self.dtf1[i], fp], axis=1), g, u).T
+        kf1 = np.zeros((1, 2, g.n, N_BANDS), dtype=complex)
+        dt_kf1 = np.zeros_like(kf1)
+        kf1[0, 0, :, 0] = hermite._KERNEL_NORM * r**0.25 * f_u
+        dt_kf1[0, 0, :, 0] = hermite._KERNEL_NORM * (
+            r**0.25 * (dtf_u + (r_dot / (4.0 * r)) * f_u - (r_dot / (2.0 * r)) * u * fp_u))
+        return kf1, dt_kf1
+
+    # -- assembled pieces
 
     def b1(self, i) -> HermiteAmplitude:
         return self._b1(i)
-
-    def _dtb1(self, i) -> HermiteAmplitude:
-        return _time_derivative(self.b1, i, len(self.traj), self.traj.dt)
-
-    def _beta1_from(self, i, a0, p2, b1_i, dtb1_i) -> HermiteAmplitude:
-        """beta1 = -(T1 b1 + T2 a0), the source of the f1 transport and of b2."""
-        ctx = self._ctx[i]
-        t1b1 = apply_T1(b1_i, dtb1_i, ctx, p2)
-        t2a0 = apply_T2(a0, ctx)
-        return HermiteAmplitude(self.grid, -(t1b1.coeffs + t2a0.coeffs))
-
-    def _dtf1_at(self, i, a0, p2, b1_i, dtb1_i):
-        """Time derivative of f1 in the profile variable: i * (transport kernel band)."""
-        beta = self._beta1_from(i, a0, p2, b1_i, dtb1_i)
-        band = beta.coeffs[0, :, 0]
-        r = self._ctx[i].r
-        vals = hermite.eval_on_points(band, self.grid, np.sqrt(r) * self.grid.x)
-        return 1j * _KERNEL_TRANSPORT * vals
-
-    # -- assembled pieces
 
     def f1_values(self, i):
         """f1 at sample i, in the profile variable, on the x1 grid."""
@@ -323,16 +334,19 @@ class CorrectorSolver:
         return self._b2(i)
 
     def _solve_b2(self, i) -> HermiteAmplitude:
-        ctx = self._ctx[i]
-        a0, p2 = self._sample_terms(i)
-        kf1 = _kernel_coeffs_from_values(self.f1[i], ctx, self.grid)
-        dt_kf1 = _kernel_dt_coeffs_from_values(self.f1[i], self.dtf1[i], ctx, self.grid)
-        beta1 = self._beta1_from(i, a0, p2, self.b1(i), self._dtb1(i))
-        src = HermiteAmplitude(self.grid, beta1.coeffs - apply_T1(kf1, dt_kf1, ctx, p2).coeffs)
+        n = len(self.traj)
+        lo = max(0, min(i - 1, n - 3))  # the samples lo..lo+2 that _time_derivative reads at i
+        b1 = _widen(self._b1_block(lo, min(lo + 3, n)), N_BANDS)
+        dtb1 = _time_derivative(b1, lo, i, i + 1, n, self.traj.dt)
+        ctx = self._frames(i, i + 1)
+        a0, _ = _leading(self.profile, ctx, self.grid, N_BANDS)
+        p2 = _taylor_poly(ctx.hessian, ctx)
+        beta1 = -(apply_T1(b1[i - lo : i - lo + 1], dtb1, ctx, p2, self.grid) + apply_T2(a0, ctx, self.grid))
+        src = beta1 - apply_T1(*self._kernel_f1(i, ctx), ctx, p2, self.grid)
         _, projected = hermite.kernel_project(src)
-        b2 = hermite.invert_L(projected) * (1.0 / np.sqrt(ctx.r))
+        b2 = hermite.invert_L(projected, self.grid) * _per_sample(1.0 / np.sqrt(ctx.r))
         _require_untruncated(b2, "b2")
-        return b2
+        return HermiteAmplitude(self.grid, b2[0])
 
     def max_solvability_residual(self):
         return float(np.max(self.solvability)) if len(self.solvability) else 0.0

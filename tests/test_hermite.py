@@ -207,20 +207,6 @@ def test_truncation_health():
     assert a.truncation_health() > 1e-8
 
 
-def test_poly_rotate_scale_pointwise():
-    rng = np.random.default_rng(8)
-    coeff = np.zeros((4, 4))
-    coeff[3, 0], coeff[2, 1], coeff[1, 2], coeff[0, 3], coeff[1, 1] = 0.7, -0.2, 0.9, 0.1, -1.3
-    theta, scale = 0.8, np.sqrt(1.7)
-    q = hermite.poly_rotate_scale(coeff, theta, scale)
-    c, s = np.cos(theta), np.sin(theta)
-    for x in rng.standard_normal((5, 2)):
-        lab = np.array([(c * x[0] - s * x[1]) / scale, (s * x[0] + c * x[1]) / scale])
-        pv = sum(coeff[i, j] * lab[0] ** i * lab[1] ** j for i in range(4) for j in range(4))
-        qv = sum(q[i, j] * x[0] ** i * x[1] ** j for i in range(q.shape[0]) for j in range(q.shape[1]))
-        assert pv == pytest.approx(qv, abs=1e-12)
-
-
 def test_apply_poly_matches_pointwise_multiplication():
     rng = np.random.default_rng(9)
     a = random_amplitude(rng, bands=6)
@@ -228,7 +214,7 @@ def test_apply_poly_matches_pointwise_multiplication():
     coeff[2, 0], coeff[1, 1], coeff[0, 2], coeff[0, 0] = 0.4, -0.7, 1.1, 0.3
     x2 = default_x2_grid(NH)
     f = hermite_synthesize(a, x2)
-    fp = hermite_synthesize(hermite.apply_poly(a, coeff), x2)
+    fp = hermite_synthesize(HermiteAmplitude(GRID, hermite.apply_poly(a.coeffs, coeff, GRID)), x2)
     poly = sum(coeff[i, j] * GRID.x[:, None] ** i * x2[None, :] ** j for i in range(3) for j in range(3))
     assert np.max(np.abs(fp - poly[None] * f)) < 1e-10
 
@@ -237,9 +223,9 @@ def test_apply_poly_sigma1_swaps_components():
     rng = np.random.default_rng(10)
     a = random_amplitude(rng, bands=4)
     one = np.array([[1.0]])
-    out = hermite.apply_poly_sigma1(a, one)
-    assert np.allclose(out.coeffs[0], a.coeffs[1])
-    assert np.allclose(out.coeffs[1], a.coeffs[0])
+    out = hermite.apply_poly_sigma1(a.coeffs, one, GRID)
+    assert np.allclose(out[0], a.coeffs[1])
+    assert np.allclose(out[1], a.coeffs[0])
 
 
 def test_trig_interpolation_exact_and_masked():

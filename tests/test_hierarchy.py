@@ -9,6 +9,7 @@ from edgelab.evolution import Grid2D, SolverError
 from edgelab.geometry import integrate_trajectory
 from edgelab.hierarchy import (
     CorrectorSolver,
+    FrameContext,
     ansatz_residual,
     assemble_ansatz,
     corrector_first_order,
@@ -384,3 +385,71 @@ def test_too_few_bands_raise(monkeypatch):
     monkeypatch.setattr(hierarchy, "N_BANDS", 4)
     with pytest.raises(SolverError, match="top two of 4 Hermite bands"):
         CorrectorSolver(GaussianProfile(), traj)
+
+
+def _random_frames(rng, n):
+    return hierarchy.FrameContext(
+        t=np.zeros(n), theta=rng.uniform(-np.pi, np.pi, n), theta_dot=rng.standard_normal(n),
+        r=rng.uniform(0.3, 3.0, n), r_dot=rng.standard_normal(n),
+        hessian=rng.standard_normal((n, 2, 2)), third=rng.standard_normal((n, 2, 2, 2)))
+
+
+def test_T2_of_leading_amplitude_has_no_first_component():
+    # the corrector sweep skips T2 a0 in the f1 transport, which reads the
+    # kernel band: a0 lies in the first component and T2 carries sigma1
+    rng = np.random.default_rng(11)
+    ctx = _random_frames(rng, 6)
+    a0, _ = hierarchy._leading(GaussianProfile(), ctx, X1GRID, hierarchy.N_BANDS)
+    a0[:, 0, :, 0] *= rng.standard_normal((6, X1GRID.n)) + 1j * rng.standard_normal((6, X1GRID.n))
+    t2 = hierarchy.apply_T2(a0, ctx, X1GRID)
+    assert np.all(t2[:, 0] == 0) and np.all(np.any(t2[:, 1], axis=(1, 2)))
+
+
+def test_closed_form_frame_rotation_pointwise():
+    # canonical p2, p3 at x equal the lab Taylor polynomials H[y, y]/2 and
+    # T[y, y, y]/6 at y = R_theta^T x / sqrt(r), for a block of frames and for one frame
+    rng = np.random.default_rng(8)
+    ctx = _random_frames(rng, 5)
+    p2, p3 = hierarchy._taylor_poly(ctx.hessian, ctx), hierarchy._taylor_poly(ctx.third, ctx)
+    poly = lambda coeff, x: sum(coeff[i, j] * x[0] ** i * x[1] ** j
+                                for i in range(coeff.shape[0]) for j in range(coeff.shape[1]))
+    for k in range(5):
+        c, s = np.cos(ctx.theta[k]), np.sin(ctx.theta[k])
+        one = FrameContext(0.0, ctx.theta[k], 0.0, ctx.r[k], 0.0, ctx.hessian[k], ctx.third[k])
+        assert np.allclose(hierarchy._taylor_poly(one.hessian, one), p2[k], rtol=0, atol=1e-15)
+        assert np.allclose(hierarchy._taylor_poly(one.third, one), p3[k], rtol=0, atol=1e-15)
+        for x in rng.standard_normal((5, 2)):
+            y = np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]]) / np.sqrt(ctx.r[k])
+            assert poly(p2[k], x) == pytest.approx(y @ ctx.hessian[k] @ y / 2.0, abs=1e-12)
+            assert poly(p3[k], x) == pytest.approx(np.einsum("ijl,i,j,l", ctx.third[k], y, y, y) / 6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 41])
+def test_sweep_results_do_not_depend_on_block_size(monkeypatch, n):
+    # every operator acts on each sample of a block alone, so splitting the
+    # trajectory into other blocks changes no bit of f1, the solvability, b1 or b2
+    traj = integrate_trajectory(make_wall("tanh"), np.array([-0.05, np.tanh(-0.05)]), (n - 1) * 1e-3, 1e-3)
+    ref = CorrectorSolver(GaussianProfile(), traj)
+    for block in (1, 7):
+        monkeypatch.setattr(hierarchy, "SWEEP_BLOCK", block)
+        other = CorrectorSolver(GaussianProfile(), traj)
+        assert np.array_equal(ref.f1, other.f1) and np.array_equal(ref.solvability, other.solvability)
+        for i in range(n):
+            assert np.array_equal(ref.b1(i).coeffs, other.b1(i).coeffs)
+            assert np.array_equal(ref.b2(i).coeffs, other.b2(i).coeffs)
+
+
+def test_evolve_check_builds_one_solver_per_eps(monkeypatch, tmp_path):
+    # orders 0,1,2 over 3 eps: one solver for the residual pass and one per eps
+    # for the evolution check, shared by orders 1 and 2
+    from edgelab import experiments
+    from edgelab.config import load_config
+
+    builds = []
+    init = CorrectorSolver.__init__
+    monkeypatch.setattr(CorrectorSolver, "__init__", lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "hierarchy_tanh.cfg"))
+    cfg.apply_overrides(["hierarchy.orders=0,1,2", "hierarchy.evolve_check=true", "hierarchy.times=0.05"])
+    result = experiments.run_experiment(cfg, str(tmp_path))
+    assert sorted(result["evolve_fits"]) == [0, 1, 2]
+    assert len(builds) == 4
