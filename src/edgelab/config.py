@@ -51,7 +51,6 @@ _SCHEMA = {
     "traj.dt": ("float", 0.0),  # 0 -> automatic (arclength/1000, aligned with the step)
     "scaling.epsilons": ("floats", (0.2, 0.1, 0.05)),
     "scaling.times": ("floats", (1.0,)),
-    "scaling.order": ("int", 0),
     "berry.radii": ("floats", ()),
     "berry.revolutions": ("float", 1.0),
     "berry.snapshots": ("int", 64),

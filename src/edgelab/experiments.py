@@ -23,8 +23,9 @@ from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
 from .evolution import EvolutionConfig, Grid2D, SpinorField
 from .geometry import ProjectionError, integrate_trajectory, project_to_interface, trajectory_to_csv
-from .hierarchy import CorrectorSolver, assemble_ansatz, frame_context
+from .hierarchy import CorrectorSolver, assemble_ansatz
 from .profiles import make_profile
+from .straight import edge_spinor
 from .walls import TransversalityError, check_transversality, make_wall, normalize_wall
 
 __all__ = [
@@ -177,19 +178,18 @@ def auto_grid(traj_points, eps, margin_widths=5.0, min_n=128, max_n=1024):
     return Grid2D(n1=n, n2=n, l1=half, l2=half)
 
 
-def _initial_field(cfg, profile, traj, grid, eps, solver=None):
+def _initial_field(cfg, profile, traj, grid, eps):
     """Initial data on the grid: ansatz, isotropic Gaussian, orthogonal, or spinor mix."""
     kind = cfg.get("init.kind")
-    ctx = frame_context(traj, 0)
-    y0 = traj.y[0]
+    theta, y0 = traj.theta[0], traj.y[0]
     if kind == "ansatz":
-        return assemble_ansatz(cfg.get("init.order"), profile, traj, 0.0, grid, eps, solver)
+        return assemble_ansatz(cfg.get("init.order"), profile, traj, 0.0, grid, eps)
     X1, X2 = grid.mesh()
     gauss = np.exp(-((X1 - y0[0]) ** 2 + (X2 - y0[1]) ** 2) / (2.0 * eps)) / np.sqrt(eps)
     if kind == "gaussian":
-        alpha = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
+        alpha = edge_spinor(theta)
     elif kind == "orthogonal":
-        alpha = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
+        alpha = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     elif kind == "mix":
         alpha = np.array([cfg.get("init.alpha1"), cfg.get("init.alpha2")], dtype=complex)
     else:
@@ -248,10 +248,7 @@ def run_evolve(cfg: ExperimentConfig, out_dir):
     ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end, truncate=True)
     truncated = bool(traj.t[-1] < t_end - dt_traj / 2)
     profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    solver = None
-    if cfg.get("init.kind") == "ansatz" and cfg.get("init.order") > 0:
-        solver = CorrectorSolver(profile, traj)
-    initial = _initial_field(cfg, profile, traj, grid, eps, solver)
+    initial = _initial_field(cfg, profile, traj, grid, eps)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -303,10 +300,7 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
     meta_extra = []
     for eps in eps_list:
         ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
-        solver = None
-        if cfg.get("scaling.order") > 0 or cfg.get("init.order") > 0:
-            solver = CorrectorSolver(profile, traj)
-        initial = _initial_field(cfg, profile, traj, grid, eps, solver)
+        initial = _initial_field(cfg, profile, traj, grid, eps)
         norm0 = initial.norm()
 
         def on_snapshot(snap):
@@ -417,8 +411,7 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
     initial = _initial_field(cfg, profile, traj, grid, eps)
 
     # lambda1: component of the initial spinor along the propagating direction
-    ctx0 = frame_context(traj, 0)
-    w0 = np.array([np.exp(-0.5j * ctx0.theta), -np.exp(0.5j * ctx0.theta)])
+    w0 = edge_spinor(traj.theta[0])
     i1 = int(np.argmin(np.abs(grid.x1 - traj.y[0][0])))
     i2 = int(np.argmin(np.abs(grid.x2 - traj.y[0][1])))
     alpha = initial.data[:, i1, i2] * np.sqrt(eps)
@@ -505,9 +498,12 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     if cfg.get("hierarchy.evolve_check"):
         T = times[-1]
         errs = {m: [] for m in orders}
-        for eps in eps_list:  # one set-up and one corrector solver per eps serve every order
-            ec, _, tr, grid = _prepare(cfg, wall, y0, eps, T)
-            sol = CorrectorSolver(profile, tr) if max(orders) > 0 else None
+        built = {}  # equal trajectory steps give equal trajectories: one solver per step serves every order
+        for eps in eps_list:
+            ec, dt_traj, tr, grid = _prepare(cfg, wall, y0, eps, T)
+            if dt_traj not in built:
+                built[dt_traj] = tr, (CorrectorSolver(profile, tr) if max(orders) > 0 else None)
+            tr, sol = built[dt_traj]
             for m in orders:
                 initial = assemble_ansatz(m, profile, tr, 0.0, grid, eps, sol)
                 res = evolution.evolve(initial, wall, ec, T)

@@ -4,6 +4,9 @@ A domain wall is a real function kappa on the plane whose zero set Gamma
 separates regions of opposite mass sign.  Everything downstream (trajectory
 integration, transport operators, the PDE mass term) consumes kappa through
 the evaluators defined here: value, gradient, Hessian and third derivatives.
+The built-in families give them in closed form, except the third derivatives
+of ``two_ring``: central differences of the Hessian at step 1e-5.  Normalized
+walls take their third derivatives the same way, at step 1e-3.
 
 Besides the built-in analytic families, ``normalize_wall`` rebuilds a wall so
 that on Gamma the gradient has unit length and is annihilated by the Hessian.
@@ -53,86 +56,42 @@ class WallDerivatives:
 class DomainWall:
     """Base class: a smooth mass function with derivatives up to order 3.
 
-    Subclasses implement ``value`` and, for the analytic backend, ``gradient``
-    ``hessian`` and ``third``.  All evaluators are vectorized over points of
-    shape (..., 2) and are pure, so a wall may be shared read-only between
-    workers.  With ``backend='fd'`` the derivatives fall back to central
-    finite differences of step ``fd_step`` (second-order accurate).
+    Subclasses implement ``_value``, ``_gradient`` and ``_hessian`` in closed
+    form, and ``_third`` where they have one; the base ``_third`` is the
+    symmetrized central difference of the Hessian with step ``fd_step``.  The
+    evaluators take points of shape (..., 2), converted to float once, and
+    are pure, so a wall may be shared read-only between workers.
     """
 
     family = "custom"
+    fd_step = 1e-5  # step of the finite-difference third derivative
 
-    def __init__(self, params=(), backend="analytic", fd_step=1e-5):
+    def __init__(self, params=()):
         self.params = tuple(float(p) for p in params)
-        if backend not in ("analytic", "fd"):
-            raise ValueError(f"unknown derivative backend {backend!r}")
-        self.backend = backend
-        self.fd_step = float(fd_step)
-
-    # -- evaluators ---------------------------------------------------------
 
     def value(self, pts):
-        raise NotImplementedError
+        return self._value(np.asarray(pts, dtype=float))
 
     def gradient(self, pts):
-        if self.backend == "fd":
-            return self._fd_gradient(pts)
-        return self._gradient(pts)
+        return self._gradient(np.asarray(pts, dtype=float))
 
     def hessian(self, pts):
-        if self.backend == "fd":
-            return self._fd_hessian(pts)
-        return self._hessian(pts)
+        return self._hessian(np.asarray(pts, dtype=float))
 
     def third(self, pts):
-        if self.backend == "fd":
-            return self._fd_third(pts)
-        return self._third(pts)
-
-    # Analytic implementations; subclasses override what they can.  A family
-    # without a closed third-derivative may leave ``_third`` as FD.
-    def _gradient(self, pts):
-        return self._fd_gradient(pts)
-
-    def _hessian(self, pts):
-        return self._fd_hessian(pts)
+        return self._third(np.asarray(pts, dtype=float))
 
     def _third(self, pts):
-        return self._fd_third(pts)
-
-    # -- finite-difference fallbacks ----------------------------------------
-
-    def _fd_gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        h = self.fd_step
-        out = np.empty(pts.shape, dtype=float)
-        for j, e in enumerate(np.eye(2)):
-            out[..., j] = (self.value(pts + h * e) - self.value(pts - h * e)) / (2 * h)
-        return out
-
-    def _fd_hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        h = self.fd_step
-        out = np.empty(pts.shape[:-1] + (2, 2), dtype=float)
-        for j, e in enumerate(np.eye(2)):
-            gp = self.gradient(pts + h * e)
-            gm = self.gradient(pts - h * e)
-            out[..., j] = (gp - gm) / (2 * h)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    def _fd_third(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        h = self.fd_step
-        out = np.empty(pts.shape[:-1] + (2, 2, 2), dtype=float)
-        for k, e in enumerate(np.eye(2)):
-            hp = self.hessian(pts + h * e)
-            hm = self.hessian(pts - h * e)
-            out[..., k] = (hp - hm) / (2 * h)
-        return _symmetrize3(out)
+        return _symmetrize3(_central_diff(self._hessian, pts, self.fd_step))
 
     def describe(self):
         ps = ", ".join(f"{p:g}" for p in self.params)
         return f"{self.family}({ps})"
+
+
+def _central_diff(fn, pts, h):
+    """(fn(pts + h e_j) - fn(pts - h e_j)) / 2h for j = 1, 2, stacked on a new last axis."""
+    return np.stack([(fn(pts + h * e) - fn(pts - h * e)) / (2 * h) for e in np.eye(2)], axis=-1)
 
 
 def _symmetrize3(T):
@@ -152,26 +111,22 @@ class LinearWall(DomainWall):
 
     family = "linear"
 
-    def __init__(self, params=(0.0, 1.0), **kw):
+    def __init__(self, params=(0.0, 1.0)):
         if len(params) != 2:
             raise ValueError("linear wall takes params (a1, a2)")
-        super().__init__(params, **kw)
+        super().__init__(params)
         self.a = np.array(self.params)
 
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
+    def _value(self, pts):
         return pts @ self.a
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         return np.broadcast_to(self.a, pts.shape).copy()
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape[:-1] + (2, 2))
 
     def _third(self, pts):
-        pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape[:-1] + (2, 2, 2))
 
 
@@ -180,15 +135,10 @@ class TanhWall(DomainWall):
 
     family = "tanh"
 
-    def __init__(self, params=(), **kw):
-        super().__init__(params, **kw)
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
+    def _value(self, pts):
         return pts[..., 1] - np.tanh(pts[..., 0])
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         t = np.tanh(pts[..., 0])
         g = np.empty(pts.shape)
         g[..., 0] = -(1.0 - t * t)
@@ -196,7 +146,6 @@ class TanhWall(DomainWall):
         return g
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
         t = np.tanh(pts[..., 0])
         s = 1.0 - t * t
         H = np.zeros(pts.shape[:-1] + (2, 2))
@@ -204,7 +153,6 @@ class TanhWall(DomainWall):
         return H
 
     def _third(self, pts):
-        pts = np.asarray(pts, dtype=float)
         t = np.tanh(pts[..., 0])
         s = 1.0 - t * t
         T = np.zeros(pts.shape[:-1] + (2, 2, 2))
@@ -218,22 +166,22 @@ class CircleWall(DomainWall):
 
     family = "circle"
 
-    def __init__(self, params=(1.0,), **kw):
+    def __init__(self, params=(1.0,)):
         if len(params) == 1:
             params = (params[0], 0.0, 0.0)
         if len(params) != 3:
             raise ValueError("circle wall takes params (R,) or (R, cx, cy)")
-        super().__init__(params, **kw)
+        super().__init__(params)
         self.radius = self.params[0]
         self.center = np.array(self.params[1:])
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
 
     def _rho(self, pts):
-        d = np.asarray(pts, dtype=float) - self.center
+        d = pts - self.center
         return d, np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
-    def value(self, pts):
+    def _value(self, pts):
         _, rho = self._rho(pts)
         return rho - self.radius
 
@@ -270,18 +218,16 @@ class ModulatedStraightWall(DomainWall):
 
     family = "modulated_straight"
 
-    def __init__(self, params=(0.9,), **kw):
+    def __init__(self, params=(0.9,)):
         if len(params) != 1:
             raise ValueError("modulated_straight wall takes params (m,)")
-        super().__init__(params, **kw)
+        super().__init__(params)
         self.m = self.params[0]
 
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
+    def _value(self, pts):
         return (1.0 - self.m * np.sin(pts[..., 0])) * pts[..., 1]
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         g = np.empty(pts.shape)
         g[..., 0] = -self.m * np.cos(x1) * x2
@@ -289,7 +235,6 @@ class ModulatedStraightWall(DomainWall):
         return g
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         H = np.zeros(pts.shape[:-1] + (2, 2))
         H[..., 0, 0] = self.m * np.sin(x1) * x2
@@ -297,7 +242,6 @@ class ModulatedStraightWall(DomainWall):
         return H
 
     def _third(self, pts):
-        pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         T = np.zeros(pts.shape[:-1] + (2, 2, 2))
         T[..., 0, 0, 0] = self.m * np.cos(x1) * x2
@@ -315,24 +259,21 @@ class CornerWall(DomainWall):
 
     family = "corner"
 
-    def __init__(self, params=(0.5,), **kw):
+    def __init__(self, params=(0.5,)):
         if len(params) != 1:
             raise ValueError("corner wall takes params (mu,)")
-        super().__init__(params, **kw)
+        super().__init__(params)
         self.mu = self.params[0]
         if self.mu < 0:
             raise ValueError("corner parameter mu must be >= 0")
 
     def _q(self, pts):
-        pts = np.asarray(pts, dtype=float)
         return np.sqrt(pts[..., 0] ** 2 + self.mu**2)
 
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
+    def _value(self, pts):
         return pts[..., 1] + self._q(pts)
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         q = self._q(pts)
         _check_away_from(q, "corner tip (mu = 0)")
         g = np.empty(pts.shape)
@@ -341,7 +282,6 @@ class CornerWall(DomainWall):
         return g
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
         q = self._q(pts)
         _check_away_from(q, "corner tip (mu = 0)")
         H = np.zeros(pts.shape[:-1] + (2, 2))
@@ -349,7 +289,6 @@ class CornerWall(DomainWall):
         return H
 
     def _third(self, pts):
-        pts = np.asarray(pts, dtype=float)
         q = self._q(pts)
         _check_away_from(q, "corner tip (mu = 0)")
         T = np.zeros(pts.shape[:-1] + (2, 2, 2))
@@ -362,48 +301,40 @@ class CrossingWall(DomainWall):
 
     family = "crossing"
 
-    def __init__(self, params=(), **kw):
-        super().__init__(params, **kw)
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
+    def _value(self, pts):
         return pts[..., 0] * pts[..., 1]
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         g = np.empty(pts.shape)
         g[..., 0] = pts[..., 1]
         g[..., 1] = pts[..., 0]
         return g
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
         H = np.zeros(pts.shape[:-1] + (2, 2))
         H[..., 0, 1] = H[..., 1, 0] = 1.0
         return H
 
     def _third(self, pts):
-        pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape[:-1] + (2, 2, 2))
 
 
 class TwoRingWall(DomainWall):
     """kappa = |x + e1|*|x - e1| - c: a Cassini-oval pair of rings (c = 1).
 
-    Third derivatives of the product form are obtained by finite differences
-    of the analytic Hessian.
+    Third derivatives of the product form are central differences of the
+    analytic Hessian (the base class ``_third``).
     """
 
     family = "two_ring"
 
-    def __init__(self, params=(1.0,), **kw):
+    def __init__(self, params=(1.0,)):
         if len(params) != 1:
             raise ValueError("two_ring wall takes params (c,)")
-        super().__init__(params, **kw)
+        super().__init__(params)
         self.c = self.params[0]
 
     def _split(self, pts):
-        pts = np.asarray(pts, dtype=float)
         e1 = np.array([1.0, 0.0])
         dp = pts + e1
         dm = pts - e1
@@ -411,7 +342,7 @@ class TwoRingWall(DomainWall):
         rm = np.sqrt(dm[..., 0] ** 2 + dm[..., 1] ** 2)
         return dp, dm, rp, rm
 
-    def value(self, pts):
+    def _value(self, pts):
         _, _, rp, rm = self._split(pts)
         return rp * rm - self.c
 
@@ -432,10 +363,6 @@ class TwoRingWall(DomainWall):
         Hm = (eye - um[..., :, None] * um[..., None, :]) / rm[..., None, None]
         cross = up[..., :, None] * um[..., None, :] + um[..., :, None] * up[..., None, :]
         return rm[..., None, None] * Hp + rp[..., None, None] * Hm + cross
-
-    # _third: finite differences of the analytic Hessian (base class).
-    def _third(self, pts):
-        return self._fd_third(pts)
 
 
 def _check_away_from(dist, what):
@@ -463,14 +390,15 @@ class NormalizedWall(DomainWall):
 
     Value, gradient and Hessian propagate through the construction in closed
     form except for derivatives of rt, which multiply powers of kh (hence
-    vanish on Gamma) and are taken by central differences.  Third derivatives
-    are finite differences of the Hessian.
+    vanish on Gamma) and are taken by central differences of step ``fd_step``.
+    Third derivatives are central differences of the Hessian (base class).
     """
 
     family = "custom"
+    fd_step = 1e-3
 
-    def __init__(self, base: DomainWall, tube_halfwidth: float, fd_step=1e-3):
-        super().__init__((), backend="analytic", fd_step=fd_step)
+    def __init__(self, base: DomainWall, tube_halfwidth: float):
+        super().__init__(())
         self.base = base
         self.tube = float(tube_halfwidth)
         if self.tube <= 0:
@@ -497,7 +425,6 @@ class NormalizedWall(DomainWall):
 
     def _scaled(self, pts, order):
         """kh = kt * F with F = 1 + chi*(1/g - 1); returns (kh, grad, hess) up to ``order``."""
-        pts = np.asarray(pts, dtype=float)
         kt = self.base.value(pts)
         g = self.base.gradient(pts)
         gn = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
@@ -562,27 +489,30 @@ class NormalizedWall(DomainWall):
 
     def _rho(self, pts, kh):
         rt = self._rho_tilde(pts)
-        return rt / (1.0 + rt * rt * kh * kh), rt
+        return rt / (1.0 + rt * rt * kh * kh)
 
-    def value(self, pts):
+    def _rho_of(self, pts):
+        """rho at the points, with kh computed there."""
+        return self._rho(pts, self._scaled(pts, 0)[0])
+
+    def _value(self, pts):
         kh, _, _ = self._scaled(pts, order=0)
-        rho, _ = self._rho(pts, kh)
+        rho = self._rho(pts, kh)
         return kh - rho * kh * kh / 2.0
 
     def _gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
         kh, gk, _ = self._scaled(pts, order=1)
-        rho, _ = self._rho(pts, kh)
-        grad_rho = self._fd_of(lambda q: self._rho(q, self._scaled(q, 0)[0])[0], pts)
+        rho = self._rho(pts, kh)
+        grad_rho = _central_diff(self._rho_of, pts, self.fd_step)
         return gk * (1.0 - rho * kh)[..., None] - 0.5 * (kh * kh)[..., None] * grad_rho
 
     def _hessian(self, pts):
-        pts = np.asarray(pts, dtype=float)
+        h = self.fd_step
         kh, gk, Hk = self._scaled(pts, order=2)
-        rho, _ = self._rho(pts, kh)
-        rho_of = lambda q: self._rho(q, self._scaled(q, 0)[0])[0]
-        grad_rho = self._fd_of(rho_of, pts)
-        hess_rho = self._fd_hess_of(rho_of, pts)
+        rho = self._rho(pts, kh)
+        grad_rho = _central_diff(self._rho_of, pts, h)
+        hess_rho = _central_diff(lambda q: _central_diff(self._rho_of, q, h), pts, h)
+        hess_rho = 0.5 * (hess_rho + np.swapaxes(hess_rho, -1, -2))
         H = Hk * (1.0 - rho * kh)[..., None, None]
         H -= rho[..., None, None] * gk[..., :, None] * gk[..., None, :]
         H -= kh[..., None, None] * (
@@ -590,25 +520,6 @@ class NormalizedWall(DomainWall):
         )
         H -= 0.5 * (kh * kh)[..., None, None] * hess_rho
         return 0.5 * (H + np.swapaxes(H, -1, -2))
-
-    def _third(self, pts):
-        return self._fd_third(pts)
-
-    def _fd_of(self, fn, pts):
-        h = self.fd_step
-        out = np.empty(np.asarray(pts).shape, dtype=float)
-        for j, e in enumerate(np.eye(2)):
-            out[..., j] = (fn(pts + h * e) - fn(pts - h * e)) / (2 * h)
-        return out
-
-    def _fd_hess_of(self, fn, pts):
-        h = self.fd_step
-        out = np.empty(np.asarray(pts).shape[:-1] + (2, 2), dtype=float)
-        for j, e in enumerate(np.eye(2)):
-            gp = self._fd_of(fn, pts + h * e)
-            gm = self._fd_of(fn, pts - h * e)
-            out[..., j] = (gp - gm) / (2 * h)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 WALL_FAMILIES = {
@@ -622,13 +533,13 @@ WALL_FAMILIES = {
 }
 
 
-def make_wall(family, params=(), backend="analytic", fd_step=1e-5) -> DomainWall:
+def make_wall(family, params=()) -> DomainWall:
     """Build a wall from its family tag and parameter list."""
     try:
         cls = WALL_FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown wall family {family!r}") from None
-    return cls(params, backend=backend, fd_step=fd_step)
+    return cls(params)
 
 
 def straight_wall(theta, r):
@@ -682,11 +593,10 @@ def check_transversality(wall, tube_samples, tol, floor=1e-3) -> TransversalityR
     )
 
 
-def normalize_wall(wall: DomainWall, tube_halfwidth: float, *, floor=1e-3, fd_step=1e-3) -> NormalizedWall:
+def normalize_wall(wall: DomainWall, tube_halfwidth: float) -> NormalizedWall:
     """Rebuild ``wall`` so the unit-gradient/Hessian-annihilation conditions hold on Gamma.
 
     The input wall must be transversal inside the tube; the zero set is
     preserved exactly (the correction factor stays within (3/4, 5/4]).
     """
-    out = NormalizedWall(wall, tube_halfwidth, fd_step=fd_step)
-    return out
+    return NormalizedWall(wall, tube_halfwidth)

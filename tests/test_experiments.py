@@ -278,13 +278,14 @@ def test_solvability_breach_exits_3(tmp_path, capsys):
 
 
 def test_wall_backend_key_rejected(tmp_path):
-    # the derivative backend is a make_wall argument for tests, not a config key
+    # walls have one derivative path, and the scaling reference is always order 0:
+    # neither a derivative backend nor a scaling order is a config key
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(EVOLVE_CFG + "wall.backend = fd\n")
     assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     cfg_path.write_text(EVOLVE_CFG)
-    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
-                     "--override", "wall.backend=analytic"]) == 2
+    for override in ("wall.backend=analytic", "scaling.order=1"):
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--override", override]) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -440,8 +440,9 @@ def test_sweep_results_do_not_depend_on_block_size(monkeypatch, n):
 
 
 def test_evolve_check_builds_one_solver_per_eps(monkeypatch, tmp_path):
-    # orders 0,1,2 over 3 eps: one solver for the residual pass and one per eps
-    # for the evolution check, shared by orders 1 and 2
+    # orders 0,1,2 over 3 eps: one solver for the residual pass and one per
+    # distinct trajectory step for the evolution check, shared by orders 1 and 2
+    # (eps 0.2 and 0.1 both get dt 1e-3 and so the same trajectory)
     from edgelab import experiments
     from edgelab.config import load_config
 
@@ -452,4 +453,4 @@ def test_evolve_check_builds_one_solver_per_eps(monkeypatch, tmp_path):
     cfg.apply_overrides(["hierarchy.orders=0,1,2", "hierarchy.evolve_check=true", "hierarchy.times=0.05"])
     result = experiments.run_experiment(cfg, str(tmp_path))
     assert sorted(result["evolve_fits"]) == [0, 1, 2]
-    assert len(builds) == 4
+    assert len(builds) == 3

@@ -9,8 +9,14 @@ from edgelab.walls import (
     make_wall,
     normalize_wall,
     straight_wall,
+    _central_diff,
+    _symmetrize3,
 )
 from edgelab.geometry import project_to_interface
+
+
+def _symmetrize2(H):
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def test_linear_wall_derivatives():
@@ -57,12 +63,17 @@ def test_fd_matches_analytic_at_order_two(family, params):
     wall = make_wall(family, params)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, size=(6, 2)) + np.array([0.3, 0.2])
-    for order in ("gradient", "hessian"):
+    # gradient and Hessian by nested central differences of the values, the
+    # third tensor by central differences of the wall's own Hessian
+    grad = lambda q, h: _central_diff(wall.value, q, h)
+    reference = {
+        "gradient": grad,
+        "hessian": lambda q, h: _symmetrize2(_central_diff(lambda p: grad(p, h), q, h)),
+        "third": lambda q, h: _symmetrize3(_central_diff(wall.hessian, q, h)),
+    }
+    for order, fd in reference.items():
         exact = getattr(wall, order)(pts)
-        errs = []
-        for h in (1e-3, 5e-4):
-            fd_wall = make_wall(family, params, backend="fd", fd_step=h)
-            errs.append(np.max(np.abs(getattr(fd_wall, order)(pts) - exact)))
+        errs = [np.max(np.abs(fd(pts, h) - exact)) for h in (1e-3, 5e-4)]
         # central differences: halving h divides the error by ~4 (unless the
         # difference is exact, e.g. polynomials, and only roundoff remains)
         if errs[0] > 1e-8:
