@@ -611,6 +611,13 @@ def run_check_suite():
     err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
     checks.append(("separable sampling", err <= 1e-12, f"rel err = {err:.2e} on 64^2"))
 
+    # chirp-z dilation against per-point interpolation of smooth rows at random scales
+    width, freq, scales = np.random.default_rng(11).uniform((1.0, -2.0, 0.3), (3.0, 2.0, 3.0), (8, 3)).T
+    rows = np.exp(-0.5 * (grid.x / width[:, None]) ** 2 + 1j * freq[:, None] * grid.x)
+    direct = np.array([hermite.eval_on_points(f, grid, s * grid.x) for f, s in zip(rows, scales)])
+    err = np.max(np.abs(hermite.eval_dilated(rows, grid, scales) - direct)) / np.max(np.abs(direct))
+    checks.append(("chirp-z dilation", err <= 1e-12, f"rel err = {err:.2e} at 8 scales in [0.3, 3]"))
+
     # first corrector against the circular-interface closed forms
     circ = CircleWall((1.0,))
     traj = integrate_trajectory(circ, np.array([1.0, 0.0]), 0.5, 1e-3)

@@ -363,3 +363,18 @@ def eval_on_points(values, grid: X1Grid, points):
     out = trig_interp_matrix(grid, flat) @ vh
     out[np.abs(flat) >= grid.half_extent] = 0.0
     return out.reshape(points.shape + vh.shape[1:])
+
+
+def eval_dilated(values, grid: X1Grid, scales):
+    """Trigonometric interpolant of each row of ``values`` (B, N1) at scales[b] * grid.x, ``scales``
+    broadcasting against the rows.  With centred indices f, c in [-N1/2, N1/2) it is sum_f w_f
+    e^{2 pi i s f c / N1} over the spectrum w centred at x = 0, and f c = (f^2 + c^2 - (c - f)^2) / 2
+    makes that a chirp-z transform (Bluestein): pre-chirp, one linear convolution by FFTs of length
+    2 N1, post-chirp, and no phase table.  Points with |s x| >= half_extent are exactly zero."""
+    n, s = grid.n, np.asarray(scales, dtype=float).reshape(-1, 1)
+    c, lags = np.arange(-(n // 2), n // 2), np.r_[0:n, -n:0]  # lags c - f mod 2 N1 (-N1 unused)
+    chirp = lambda m: np.exp((1j * np.pi / n) * s * (m * m))
+    w = sfft.fftshift(sfft.fft(sfft.ifftshift(np.asarray(values, dtype=complex), axes=-1), axis=-1), axes=-1)
+    conv = sfft.ifft(sfft.fft(w * chirp(c), 2 * n, axis=-1) * sfft.fft(np.conj(chirp(lags)), axis=-1), axis=-1)
+    out = conv[..., :n] * (chirp(c) / n)
+    return np.where(np.abs(s * grid.x) < grid.half_extent, out, 0.0)

@@ -298,21 +298,15 @@ class CorrectorSolver:
         ctx = self._frames(lo, hi)
         p2 = _taylor_poly(ctx.hessian, ctx)
         t1b1 = apply_T1(b1[..., :_B1_BANDS], dtb1[..., :_B1_BANDS], ctx, p2, self.grid)
-        out = np.empty((hi - lo, self.grid.n), dtype=complex)
-        for k in range(hi - lo):  # one dilation table at a time keeps memory flat
-            band = -t1b1[k, 0, :, 0]
-            out[k] = 1j * _KERNEL_TRANSPORT * hermite.eval_on_points(band, self.grid,
-                                                                     np.sqrt(ctx.r[k]) * self.grid.x)
-        return out
+        return 1j * _KERNEL_TRANSPORT * hermite.eval_dilated(-t1b1[:, 0, :, 0], self.grid, np.sqrt(ctx.r))
 
     def _kernel_f1(self, i, ctx: FrameContext):
-        """K f1 at sample i and the explicit d/dt of its coefficients, (1, 2, N1, N_BANDS) each.
-
-        f1, d/dt f1 and f1' are interpolated at u = x/sqrt(r) with one dilation table."""
+        """K f1 at sample i and the explicit d/dt of its coefficients, (1, 2, N1, N_BANDS) each;
+        f1, d/dt f1 and f1' are read at u = x/sqrt(r) by one chirp-z dilation of the three rows."""
         g, r, r_dot = self.grid, ctx.r[0], ctx.r_dot[0]
         u = g.x / np.sqrt(r)
         fp = sfft.ifft(1j * g.k * sfft.fft(self.f1[i]))
-        f_u, dtf_u, fp_u = hermite.eval_on_points(np.stack([self.f1[i], self.dtf1[i], fp], axis=1), g, u).T
+        f_u, dtf_u, fp_u = hermite.eval_dilated(np.stack([self.f1[i], self.dtf1[i], fp]), g, 1.0 / np.sqrt(r))
         kf1 = np.zeros((1, 2, g.n, N_BANDS), dtype=complex)
         dt_kf1 = np.zeros_like(kf1)
         kf1[0, 0, :, 0] = hermite._KERNEL_NORM * r**0.25 * f_u

@@ -90,8 +90,11 @@ class DomainWall:
 
 
 def _central_diff(fn, pts, h):
-    """(fn(pts + h e_j) - fn(pts - h e_j)) / 2h for j = 1, 2, stacked on a new last axis."""
-    return np.stack([(fn(pts + h * e) - fn(pts - h * e)) / (2 * h) for e in np.eye(2)], axis=-1)
+    """(fn(pts + h e_j) - fn(pts - h e_j)) / 2h for j = 1, 2, stacked on a new last axis.  ``fn`` is
+    called once, on the shifted points stacked on a new leading axis, so nested stencils are one call."""
+    e = h * np.eye(2)
+    vals = fn(np.stack([pts + e[0], pts + e[1], pts - e[0], pts - e[1]]))
+    return np.stack([(vals[j] - vals[j + 2]) / (2 * h) for j in range(2)], axis=-1)
 
 
 def _symmetrize3(T):

@@ -253,6 +253,37 @@ def test_trig_interp_matrix_direct_formula(n):
     assert np.max(np.abs(M - direct)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_eval_dilated_matches_trig_interp_matrix(n):
+    # chirp-z dilation against the phase-table interpolant at the same points
+    grid = X1Grid(n=n, half_extent=12.0)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+    scales = rng.uniform(0.3, 3.0, 16)
+    got = hermite.eval_dilated(vals, grid, scales)
+    for b in range(16):
+        pts = scales[b] * grid.x
+        ref = hermite.trig_interp_matrix(grid, pts) @ sfft.fft(vals[b])
+        inside = np.abs(pts) < grid.half_extent
+        assert np.max(np.abs(got[b, inside] - ref[inside])) <= 1e-12 * np.max(np.abs(ref[inside]))
+
+
+def test_eval_dilated_window_edge_and_batching():
+    rng = np.random.default_rng(5)
+    vals = np.exp(-0.5 * GRID.x**2)[None, :] * (1 + rng.standard_normal((16, GRID.n)))
+    scales = np.concatenate([[1.0, 2.0, 0.5, 3.0], rng.uniform(0.3, 3.0, 12)])
+    got = hermite.eval_dilated(vals, GRID, scales)
+    # points on or beyond the window edge are exactly zero, the rest are not
+    outside = np.abs(scales[:, None] * GRID.x) >= GRID.half_extent
+    assert outside[0, 0] and np.count_nonzero(outside[1]) == GRID.n // 2 + 1
+    assert np.all(got[outside] == 0.0) and np.all(got[~outside] != 0.0)
+    # a row comes out the same alone as in a batch, and a shared scale broadcasts
+    for b in range(16):
+        assert np.array_equal(hermite.eval_dilated(vals[b : b + 1], GRID, scales[b : b + 1])[0], got[b])
+    assert np.array_equal(hermite.eval_dilated(vals[:3], GRID, 2.0),
+                          hermite.eval_dilated(vals[:3], GRID, np.full(3, 2.0)))
+
+
 def _ladder_three_term(c, sign):
     """(a + sign adag)/2 along the last axis, written out term by term."""
     nb = c.shape[-1]

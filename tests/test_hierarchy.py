@@ -340,6 +340,27 @@ def test_hierarchy_check_samples_each_term_once(monkeypatch, tmp_path):
     assert calls == {"sample": 18, "b2": 3}
 
 
+def test_corrector_build_makes_no_phase_tables(monkeypatch):
+    # the sqrt(r)-dilations of the sweep go through the chirp-z helper, so a build over the
+    # hierarchy-tanh trajectory (503 samples) makes no per-sample phase table
+    calls = {"mode_phases": 0, "trig_interp_matrix": 0}
+
+    def counted(name):
+        fn = getattr(hermite, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hermite, name, counted(name))
+    traj = integrate_trajectory(make_wall("tanh"), np.array([0.0, 0.0]), 0.502, 1e-3)
+    solver = CorrectorSolver(GaussianProfile(), traj)
+    solver.b2(len(traj) // 2)
+    assert len(traj) == 503 and calls == {"mode_phases": 0, "trig_interp_matrix": 0}
+
+
 class _SteeperDerivative(GaussianProfile):
     def derivative(self, s):
         return 1.5 * super().derivative(s)

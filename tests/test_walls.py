@@ -82,6 +82,24 @@ def test_fd_matches_analytic_at_order_two(family, params):
             assert errs[1] < 1e-8
 
 
+def test_central_diff_one_call_per_stencil():
+    # the shifted points go to fn in one stacked call (a nested stencil too), and the
+    # differences equal the per-direction loop bit for bit
+    wall, calls = make_wall("circle", (1.0, 0.2, -0.1)), []
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 5, 2))
+
+    def hess(q):
+        calls.append(q.shape)
+        return wall.hessian(q)
+
+    got = _central_diff(hess, pts, 1e-5)
+    loop = np.stack([(wall.hessian(pts + 1e-5 * e) - wall.hessian(pts - 1e-5 * e)) / 2e-5 for e in np.eye(2)], -1)
+    assert calls == [(4, 7, 5, 2)] and np.array_equal(got, loop)
+    calls.clear()
+    nested = _central_diff(lambda q: _central_diff(hess, q, 1e-3), pts, 1e-3)
+    assert calls == [(4, 4, 7, 5, 2)] and nested.shape == (7, 5, 2, 2, 2, 2)
+
+
 _SYM_PARAMS = {
     "linear": (0.3, 1.1), "circle": (1.0,), "two_ring": (1.0,),
     "tanh": (), "crossing": (), "modulated_straight": (0.9,), "corner": (0.5,),
