@@ -8,10 +8,10 @@ box.  One Crank-Nicolson step solves
 
 a Cayley map that is exactly unitary, so the L2 norm is conserved up to the
 linear-solver tolerance.  The map equals 2 A^-1 - I with A = I + i dt H / (2 eps),
-so a step solves A w = 2 psi_old, by matrix-free GMRES in Fourier variables
-right-preconditioned with the free-Dirac factor (2x2 per mode) times the mass
-factor (pointwise in space); the remainder is O((dt/eps)^2), so a step takes
-a few iterations of one FFT pair each.
+so a step solves A w = 2 psi_old in Fourier variables, right-preconditioned with
+the free-Dirac factor (2x2 per mode) times the mass factor (pointwise in space).
+The remainder is O((dt/eps)^2) and contracts, so a plain fixed-point iteration
+solves the preconditioned system in a few sweeps of one FFT pair each.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import dataclasses
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg.blas import zgemv
 
 from .hermite import SolverError
 from .walls import DomainWall
@@ -164,7 +163,6 @@ class EvolutionConfig:
     dt: float
     krylov_tol: float = 1e-12
     max_krylov_iter: int = 400
-    gmres_restart: int = 24
 
     def __post_init__(self):
         if not (0 < self.epsilon):
@@ -198,16 +196,24 @@ class CrankNicolsonStepper:
 
     Works on Fourier coefficients throughout.  With A = I + i gamma H and
     gamma = dt / (2 eps), the Cayley map is A^-1 (I - i gamma H) = 2 A^-1 - I,
-    so a step solves A w = 2 psi from a zero initial guess and returns
-    w - psi.  The solve is restarted GMRES, right-preconditioned with the
-    split product P = (I + i gamma H_free)(I + i gamma kappa sigma3): the
-    free-Dirac factor is a 2x2 block per mode, the mass factor is pointwise in
-    space, and E = A P^-1 - I = gamma^2 H_free kappa sigma3 P^-1 is second
-    order in gamma.  An application of E costs one inverse/forward transform
-    pair, and recovering w = P^-1 u costs one more.  The recurrence residual
-    is the true residual of the step system; it is driven below
-    krylov_tol |psi|, and since |(I - i gamma H) psi| >= |psi| that bounds the
-    relative residual of the Crank-Nicolson system by krylov_tol.
+    so a step solves A w = 2 psi and returns w - psi.  A is right-preconditioned
+    with the split product P = F M, F = I + i gamma H_free (a 2x2 block per
+    mode) and M = I + i gamma kappa sigma3 (pointwise in space), which leaves
+    (I + E) u = 2 psi with w = P^-1 u and the remainder
+
+        E = A P^-1 - I = gamma^2 H_free kappa sigma3 M^-1 F^-1.
+
+    F commutes with H_free, so F^-1 E F = M2 M1 with M2 = gamma H_free F^-1
+    and M1 = gamma kappa sigma3 M^-1.  M2 is normal per mode with eigenvalues
+    of modulus gamma l / sqrt(1 + gamma^2 l^2) < 1 (l = eps |k|), and M1 is
+    diagonal with entries of modulus gamma |kappa| / sqrt(1 + gamma^2 kappa^2)
+    < 1, so |F^-1 E F| < 1 and rho(E) < 1: the fixed point u <- 2 psi - E u
+    converges from u = 2 psi with no Krylov basis, in a few sweeps since E is
+    second order in gamma.  Each sweep applies E once (one transform pair,
+    counted in ``last_iterations``) and measures r = 2 psi - (I + E) u; the
+    first iterate with |r| <= krylov_tol |psi| is returned, and w = P^-1 u
+    costs one more pair.  Since |(I - i gamma H) psi| >= |psi| that bounds
+    the relative residual of the Crank-Nicolson system by krylov_tol.
     """
 
     def __init__(self, grid: Grid2D, wall_or_kappa, config: EvolutionConfig):
@@ -234,10 +240,8 @@ class CrankNicolsonStepper:
         self._remainder = mass * self._mass_inv
         self._remainder[1] *= -1.0
         self.last_iterations = 0
-        m = config.gmres_restart
-        self._V = np.empty((m + 1, 2 * grid.n1 * grid.n2), dtype=complex)
-        self._Hm = np.zeros((m + 1, m), dtype=complex)
-        self._u = np.zeros((2, grid.n1, grid.n2), dtype=complex)
+        self._u = np.empty((2, grid.n1, grid.n2), dtype=complex)
+        self._r = np.empty((2, grid.n1, grid.n2), dtype=complex)
         self._scratch = np.empty((2, grid.n1, grid.n2), dtype=complex)
 
     def _free_solve(self, hat, out):
@@ -254,7 +258,7 @@ class CrankNicolsonStepper:
         """(A P^-1 - I) u = gamma^2 H_free kappa sigma3 P^-1 u into out: one transform pair.
 
         Formed directly, not as A P^-1 u - u: that difference cancels down to
-        the O(gamma^2) remainder and costs the Krylov basis its orthogonality.
+        the O(gamma^2) remainder and would lose its leading digits.
         """
         spatial = _ifft2(self._free_solve(u, self._scratch), overwrite_x=True)
         spatial *= self._remainder
@@ -276,69 +280,36 @@ class CrankNicolsonStepper:
     def step_hat(self, hat):
         """One Cayley step on Fourier coefficients (shape (2, n1, n2))."""
         cfg = self.config
-        shape = hat.shape
-        psi = hat.ravel()
-        psi_norm = np.linalg.norm(psi)
+        psi_norm = np.linalg.norm(hat.ravel())
         if psi_norm == 0.0:
             self.last_iterations = 0
             return np.zeros_like(hat)
         target = max(cfg.krylov_tol, 1e-15) * psi_norm
 
-        # GMRES on (I + E) u = 2 psi, E = A P^-1 - I, with u0 = 0, so r0 = 2 psi
-        # needs no transform; the Arnoldi process runs on E and Hm holds I + E
-        m = cfg.gmres_restart
-        V, Hm = self._V, self._Hm
-        u = self._u.reshape(-1)
-        np.multiply(psi, 1.0 / psi_norm, out=V[0])
-        beta = 2.0 * psi_norm
+        # fixed point u <- u + r on (I + E) u = 2 psi from u = 2 psi, which needs no transform
+        u, r = self._u, self._r
+        np.multiply(hat, 2.0, out=u)
         total = 0
-        u_beta = 0.0
         while True:
-            Hm[:] = 0.0
-            resid = beta
-            j = 0
-            while j < m and resid > target and total < cfg.max_krylov_iter:
-                w = V[j + 1]
-                self._apply_E(V[j].reshape(shape), w.reshape(shape))
-                total += 1
-                # one pass of classical Gram-Schmidt in two BLAS calls: E v does not
-                # cancel against v, so the basis stays orthogonal
-                basis = V[: j + 1].T
-                Hm[: j + 1, j] = zgemv(1.0, basis, w, trans=2)
-                zgemv(-1.0, basis, Hm[: j + 1, j], beta=1.0, y=w, overwrite_y=True)
-                Hm[j, j] += 1.0
-                Hm[j + 1, j] = h = np.linalg.norm(w)
-                if h > 0:
-                    w *= 1.0 / h
-                j += 1
-                # least-squares problem min |beta e1 - Hm y| of the Arnoldi relation
-                rhs = np.zeros(j + 1, dtype=complex)
-                rhs[0] = beta
-                y = np.linalg.lstsq(Hm[: j + 1, :j], rhs)[0]
-                resid = np.linalg.norm(Hm[: j + 1, :j] @ y - rhs)
-            if j > 0:
-                zgemv(1.0, V[:j].T, y, beta=u_beta, y=u, overwrite_y=True)
-                u_beta = 1.0
+            self._apply_E(u, r)
+            total += 1
+            # r = 2 psi - u - E u, formed in place without a copy of 2 psi
+            r += u
+            np.subtract(hat, r, out=r)
+            r += hat
+            resid = np.linalg.norm(r.ravel())
             if resid <= target:
                 break
             if total >= cfg.max_krylov_iter:
                 raise SolverError(
-                    f"Krylov solve failed: relative residual {resid / psi_norm:.3e} after "
+                    f"Crank-Nicolson solve failed: relative residual {resid / psi_norm:.3e} after "
                     f"{total} iterations (tolerance {cfg.krylov_tol:.1e})"
                 )
-            # restart from the true residual 2 psi - (I + E) u
-            r = V[0]
-            self._apply_E(self._u, r.reshape(shape))
-            total += 1
-            np.subtract(2.0 * psi - u, r, out=r)
-            beta = np.linalg.norm(r)
-            if beta <= target:
-                break
-            r *= 1.0 / beta
+            u += r
 
         self.last_iterations = total
         # w = P^-1 u, then psi_new = w - psi
-        spatial = _ifft2(self._free_solve(self._u, self._scratch), overwrite_x=True)
+        spatial = _ifft2(self._free_solve(u, self._scratch), overwrite_x=True)
         spatial *= self._mass_inv
         return np.subtract(_fft2(spatial, overwrite_x=True), hat)
 

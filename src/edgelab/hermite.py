@@ -50,7 +50,8 @@ _KERNEL_NORM = np.sqrt(2.0) * np.pi**0.25  # band-0 coefficient of e^{-x2^2/2} [
 
 
 class SolverError(RuntimeError):
-    """Numerical failure: Krylov non-convergence, norm drift, or Hermite band truncation."""
+    """Numerical failure: a Crank-Nicolson solve over its iteration cap, norm drift,
+    Hermite band truncation, or a corrector solvability residual above tolerance."""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -426,8 +426,8 @@ class NormalizedWall(DomainWall):
         d2chi = -(d2q_du2 * du_dk * du_dk + dq_du * d2u_dk2)
         return chi, dchi, d2chi
 
-    def _scaled(self, pts, order):
-        """kh = kt * F with F = 1 + chi*(1/g - 1); returns (kh, grad, hess) up to ``order``."""
+    def _scaled(self, pts):
+        """kh = kt * F with F = 1 + chi*(1/g - 1); returns (kh, grad kh, hess kh, rho)."""
         kt = self.base.value(pts)
         g = self.base.gradient(pts)
         gn = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)
@@ -441,8 +441,6 @@ class NormalizedWall(DomainWall):
         inv_g = np.where(inside, 1.0 / safe_gn, 1.0)
         F = 1.0 + chi * (inv_g - 1.0)
         kh = kt * F
-        if order == 0:
-            return kh, None, None
 
         H = self.base.hessian(pts)
         # grad g = H grad / g (guarded off-tube where it is multiplied by chi)
@@ -452,8 +450,6 @@ class NormalizedWall(DomainWall):
         grad_invg = np.where(inside[..., None], -grad_gn / safe_gn[..., None] ** 2, 0.0)
         grad_F = grad_chi * (inv_g - 1.0)[..., None] + chi[..., None] * grad_invg
         grad_kh = F[..., None] * g + kt[..., None] * grad_F
-        if order == 1:
-            return kh, grad_kh, None
 
         T = self.base.third(pts)
         # hess of g: (T:grad + H H)/g - grad_g grad_g^T / g
@@ -484,35 +480,24 @@ class NormalizedWall(DomainWall):
             + F[..., None, None] * H
             + kt[..., None, None] * hess_F
         )
-        return kh, grad_kh, hess_kh
-
-    def _rho_tilde(self, pts):
-        _, gk, Hk = self._scaled(pts, order=2)
-        return np.einsum("...i,...ij,...j->...", gk, Hk, gk)
-
-    def _rho(self, pts, kh):
-        rt = self._rho_tilde(pts)
-        return rt / (1.0 + rt * rt * kh * kh)
+        rt = np.einsum("...i,...ij,...j->...", grad_kh, hess_kh, grad_kh)
+        return kh, grad_kh, hess_kh, rt / (1.0 + rt * rt * kh * kh)
 
     def _rho_of(self, pts):
-        """rho at the points, with kh computed there."""
-        return self._rho(pts, self._scaled(pts, 0)[0])
+        return self._scaled(pts)[3]
 
     def _value(self, pts):
-        kh, _, _ = self._scaled(pts, order=0)
-        rho = self._rho(pts, kh)
+        kh, _, _, rho = self._scaled(pts)
         return kh - rho * kh * kh / 2.0
 
     def _gradient(self, pts):
-        kh, gk, _ = self._scaled(pts, order=1)
-        rho = self._rho(pts, kh)
+        kh, gk, _, rho = self._scaled(pts)
         grad_rho = _central_diff(self._rho_of, pts, self.fd_step)
         return gk * (1.0 - rho * kh)[..., None] - 0.5 * (kh * kh)[..., None] * grad_rho
 
     def _hessian(self, pts):
         h = self.fd_step
-        kh, gk, Hk = self._scaled(pts, order=2)
-        rho = self._rho(pts, kh)
+        kh, gk, Hk, rho = self._scaled(pts)
         grad_rho = _central_diff(self._rho_of, pts, h)
         hess_rho = _central_diff(lambda q: _central_diff(self._rho_of, q, h), pts, h)
         hess_rho = 0.5 * (hess_rho + np.swapaxes(hess_rho, -1, -2))

@@ -5,6 +5,7 @@ from edgelab.evolution import (
     CrankNicolsonStepper,
     EvolutionConfig,
     Grid2D,
+    SolverError,
     SpinorField,
     apply_H,
     evolve,
@@ -95,12 +96,12 @@ def test_unitarity_invariant():
     assert res.norm_drift <= res.steps * cfg.krylov_tol
 
 
-@pytest.mark.parametrize("restart", [24, 2])
-def test_step_matches_dense_cayley_solve(restart):
-    # restart = 2 sends the solve through GMRES restarts from the true residual
+@pytest.mark.parametrize("dt_over_eps", [0.1, 1.0])
+def test_step_matches_dense_cayley_solve(dt_over_eps):
+    # dt = eps takes the fixed-point solve through many more sweeps
     grid = Grid2D(16, 16, 3.0, 3.0)
     eps = 0.3
-    dt = eps / 10
+    dt = dt_over_eps * eps
     kappa = grid.wall_values(make_wall("tanh"))
     n = 2 * 16 * 16
     H = np.empty((n, n), dtype=complex)
@@ -112,9 +113,19 @@ def test_step_matches_dense_cayley_solve(restart):
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ref = np.linalg.solve(np.eye(n) + 1j * gamma * H, psi - 1j * gamma * (H @ psi))
-    stepper = CrankNicolsonStepper(grid, kappa, EvolutionConfig(epsilon=eps, dt=dt, gmres_restart=restart))
+    stepper = CrankNicolsonStepper(grid, kappa, EvolutionConfig(epsilon=eps, dt=dt))
     out = stepper.step(psi.reshape(2, 16, 16)).ravel()
     assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def test_iteration_cap_raises_solver_error():
+    grid = Grid2D(16, 16, 3.0, 3.0)
+    eps = 0.3
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    cfg = EvolutionConfig(epsilon=eps, dt=eps, max_krylov_iter=2)
+    with pytest.raises(SolverError, match="after 2 iterations"):
+        CrankNicolsonStepper(grid, make_wall("tanh"), cfg).step(psi)
 
 
 def test_split_preconditioner_keeps_iterations_low():

@@ -36,13 +36,23 @@ def test_fit_loglog_recovers_slope():
         fit_loglog([0.1, 0.2], [1, 2])
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about 0.2 s and 40 MB at start-up; the CLI needs none of it
+def _loaded_by_cli_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after ``import edgelab.cli``, as "True"/"False"."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(edgelab.__file__)))
-    code = "import sys, edgelab.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, edgelab.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about 0.2 s and 40 MB at start-up; the CLI needs none of it
+    assert _loaded_by_cli_import("scipy.stats") == "False"
+
+
+def test_cli_import_skips_scipy_linalg():
+    # the Crank-Nicolson solve needs no dense linear algebra
+    assert _loaded_by_cli_import("scipy.linalg") == "False"
 
 
 EVOLVE_CFG = """
