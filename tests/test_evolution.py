@@ -118,6 +118,78 @@ def test_step_matches_dense_cayley_solve(dt_over_eps):
     assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+def _fixed_point_oracle(stepper, hat):
+    """The u <- u + r fixed point with r = 2 psi - (I + E) u formed explicitly."""
+
+    def apply_E(u):
+        spatial = np.fft.ifft2(stepper._free_solve(u, np.empty_like(u)))
+        z = np.fft.fft2(-stepper._remainder * spatial)  # _remainder carries the sign of -E
+        return np.stack([stepper._off * z[1], stepper._off_c * z[0]])
+
+    target = stepper.config.krylov_tol * np.linalg.norm(hat)
+    u = 2.0 * hat
+    for iters in range(1, stepper.config.max_krylov_iter + 1):
+        r = 2.0 * hat - u - apply_E(u)
+        if np.linalg.norm(r) <= target:
+            break
+        u = u + r
+    w = np.fft.fft2(stepper._mass_inv * np.fft.ifft2(stepper._free_solve(u, np.empty_like(u))))
+    return w - hat, iters
+
+
+@pytest.mark.parametrize("dt_over_eps", [0.1, 1.0])
+def test_residual_recursion_matches_explicit_fixed_point(dt_over_eps):
+    grid = Grid2D(32, 32, 3.0, 3.0)
+    eps = 0.3
+    rng = np.random.default_rng(5)
+    hat = np.fft.fft2(rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32)))
+    stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=eps, dt=dt_over_eps * eps))
+    out = stepper.step_hat(hat)
+    ref, iters = _fixed_point_oracle(stepper, hat)
+    assert stepper.last_iterations == iters
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_step_makes_iterations_plus_half_transform_pairs(monkeypatch):
+    from edgelab import evolution
+
+    calls = {"fft2": 0, "ifft2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    grid = Grid2D(64, 64, 3.0, 3.0)
+    stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=0.1, dt=0.005))
+    hat = evolution._fft2(thm1_gaussian(grid, 0.1, np.zeros(2), 0.3).data)
+    monkeypatch.setattr(evolution, "_fft2", counted("fft2", evolution._fft2))
+    monkeypatch.setattr(evolution, "_ifft2", counted("ifft2", evolution._ifft2))
+    stepper.step_hat(hat)
+    assert stepper.last_iterations > 0
+    assert calls == {"fft2": stepper.last_iterations + 1, "ifft2": stepper.last_iterations}
+
+
+def test_step_and_evolve_make_no_blas_calls(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call in the Crank-Nicolson step")
+
+    eps = 0.25
+    grid = Grid2D(64, 64, 4.0, 4.0)
+    wall = make_wall("tanh")
+    init = thm1_gaussian(grid, eps, np.zeros(2), 0.0)
+    cfg = EvolutionConfig(epsilon=eps, dt=eps / 10)
+    stepper = CrankNicolsonStepper(grid, wall, cfg)
+    hat = np.fft.fft2(init.data)
+    for target, name in ((np.linalg, "norm"), (np, "vdot"), (np, "dot")):
+        monkeypatch.setattr(target, name, refuse)
+    stepper.step_hat(hat)
+    assert stepper.last_iterations > 0
+    res = evolve(init, wall, cfg, 3 * cfg.dt)
+    assert res.steps == 3 and res.norm_drift <= 3 * cfg.krylov_tol
+
+
 def test_iteration_cap_raises_solver_error():
     grid = Grid2D(16, 16, 3.0, 3.0)
     eps = 0.3
