@@ -17,9 +17,9 @@ the residual update r <- -E r solves it in k + 0.5 FFT pairs for k sweeps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
-from scipy import fft as sfft
 
 from .hermite import SolverError
 from .walls import DomainWall
@@ -55,12 +55,39 @@ def get_fft_workers():
     return _FFT_WORKERS
 
 
+def _axes_2d(fn, a, out):
+    """fn along axis -2, then along axis -1 in place: scipy.fft's c2cn order, so the bits match
+    scipy.fft.fft2/ifft2 (numpy.fft.fft2 goes -1 first and differs in the last bits)."""
+    fn(a, axis=-2, out=out)
+    fn(out, axis=-1, out=out)
+
+
+@functools.cache
+def _fft_pool():
+    from concurrent.futures import ThreadPoolExecutor  # on first use, so that importing stays light
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="edgelab-fft")
+
+
+def _transform_2d(fn, a, overwrite_x):
+    out = a if overwrite_x else np.empty(a.shape, dtype=complex)
+    if _FFT_WORKERS > 1 and a.ndim > 2:
+        # numpy's FFT loops release the GIL, so the halves (the two spinor components) run side by side
+        h = len(a) // 2
+        second = _fft_pool().submit(_axes_2d, fn, a[h:], out[h:])
+        _axes_2d(fn, a[:h], out[:h])
+        second.result()
+    else:
+        _axes_2d(fn, a, out)
+    return out
+
+
 def _fft2(a, overwrite_x=False):
-    return sfft.fft2(a, axes=(-2, -1), overwrite_x=overwrite_x, workers=_FFT_WORKERS)
+    return _transform_2d(np.fft.fft, a, overwrite_x)
 
 
 def _ifft2(a, overwrite_x=False):
-    return sfft.ifft2(a, axes=(-2, -1), overwrite_x=overwrite_x, workers=_FFT_WORKERS)
+    return _transform_2d(np.fft.ifft, a, overwrite_x)
 
 
 def _norm(a):
@@ -110,11 +137,11 @@ class Grid2D:
 
     @property
     def k1(self):
-        return 2.0 * np.pi * sfft.fftfreq(self.n1, d=self.dx1)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.dx1)
 
     @property
     def k2(self):
-        return 2.0 * np.pi * sfft.fftfreq(self.n2, d=self.dx2)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.dx2)
 
     def wall_values(self, wall: DomainWall):
         X1, X2 = self.mesh()

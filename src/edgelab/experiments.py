@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
 import platform
 
 import numpy as np
 import scipy
-from scipy import special
 
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
@@ -52,6 +52,26 @@ class FitResult:
     n: int
 
 
+def _t_quantile(dof):
+    """Student-t 97.5% quantile for an integer dof: bisection to adjacent doubles on the closed-form
+    two-sided probability P(|T| <= t) (Abramowitz & Stegun 26.7.3 odd dof, 26.7.4 even dof)."""
+
+    def two_sided(t):
+        c2 = dof / (dof + t * t)  # cos^2 theta with theta = atan(t / sqrt(dof))
+        total = 1.0  # the series 1 + c2 r_1 (1 + c2 r_2 (1 + ...)) by Horner's rule
+        for k in range((dof - dof % 2) // 2 - 1, 0, -1):
+            total = 1.0 + c2 * (2 * k - 1 + dof % 2) / (2 * k + dof % 2) * total
+        if dof % 2 == 0:
+            return t / math.sqrt(dof + t * t) * total
+        series = t * math.sqrt(dof) / (dof + t * t) * total if dof > 1 else 0.0
+        return 2.0 / math.pi * (math.atan2(t, math.sqrt(dof)) + series)
+
+    lo, hi = 0.0, 16.0  # the quantile is largest at dof 1, 12.706
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if two_sided(mid) < 0.95 else (lo, mid)
+    return hi
+
+
 def fit_loglog(x, y) -> FitResult:
     """Least-squares fit of log(y) against log(x) with a 95% slope interval.
 
@@ -73,7 +93,7 @@ def fit_loglog(x, y) -> FitResult:
         rss = float(res[0]) if res.size else float(np.sum((ly - A @ coef) ** 2))
         sxx = float(np.sum((lx - lx.mean()) ** 2))
         stderr = float(np.sqrt(rss / dof / sxx))
-        tq = float(special.stdtrit(dof, 0.975))  # Student-t 97.5% quantile
+        tq = _t_quantile(dof)
     else:
         stderr, tq = np.inf, np.inf
     return FitResult(

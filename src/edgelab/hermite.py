@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "SolverError",
@@ -38,9 +37,6 @@ __all__ = [
     "invert_L",
     "kernel_project",
     "kernel_amplitude",
-    "hermite_synthesize",
-    "hermite_analyze",
-    "default_x2_grid",
     "apply_poly_sigma1",
     "mode_phases",
     "trig_interp_matrix",
@@ -75,7 +71,7 @@ class X1Grid:
 
     @property
     def k(self):
-        return 2.0 * np.pi * sfft.fftfreq(self.n, d=self.dx)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
 @dataclasses.dataclass
@@ -184,9 +180,9 @@ def dx2_op(c):
 
 def d1_op(c, grid):
     """D_x1 = -i d/dx1 by Fourier multiplication along the x1 axis of (..., N1, nb) coefficients."""
-    ch = sfft.fft(c, axis=-2)
+    ch = np.fft.fft(c, axis=-2)
     ch *= grid.k[:, None]
-    return sfft.ifft(ch, axis=-2)
+    return np.fft.ifft(ch, axis=-2)
 
 
 def apply_L(a: HermiteAmplitude) -> HermiteAmplitude:
@@ -236,7 +232,7 @@ def invert_L(a, grid=None):
     amp = isinstance(a, HermiteAmplitude)
     c, grid = (a.coeffs, a.grid) if amp else (a, grid)
     _, src = kernel_project(c)
-    ah = sfft.fft(src, axis=-2)
+    ah = np.fft.fft(src, axis=-2)
     out = np.zeros_like(ah)
     xi = grid.k
     s = np.sqrt(2.0 * np.arange(c.shape[-1] - 1) + 2.0)
@@ -245,53 +241,11 @@ def invert_L(a, grid=None):
     out[..., 0, :, 1:] = (-2.0 * xi[:, None] * w1 + s * w2) / (s * s)
     out[..., 1, :, :-1] = w1 / s
     # second component's top band has no partner inside the truncation
-    b = sfft.ifft(out, axis=-2)
+    b = np.fft.ifft(out, axis=-2)
     return HermiteAmplitude(grid, b) if amp else b
 
 
-# -- synthesis / analysis -----------------------------------------------------
-
 _UNTILDE = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)  # inverse of the tilde conjugation
-_TILDE = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-
-
-def default_x2_grid(n_hermite, points_per_osc=6, pad=3.0):
-    """Uniform x2 grid resolving the highest retained oscillator state."""
-    turning = np.sqrt(2.0 * n_hermite + 1.0)
-    half = turning + pad
-    wavelength = 2.0 * np.pi / turning
-    dx = wavelength / points_per_osc
-    n = int(np.ceil(2.0 * half / dx))
-    return np.linspace(-half, half, n)
-
-
-def hermite_synthesize(a: HermiteAmplitude, x2):
-    """Reconstruct the untilded two-component field on the (x1, x2) tensor grid.
-
-    Raises if the target grid cannot resolve the top retained oscillator state
-    (at least 4 points per oscillation near the center).
-    """
-    x2 = np.asarray(x2, dtype=float)
-    dx2 = np.min(np.diff(x2))
-    needed = 2.0 * np.pi / np.sqrt(2.0 * a.n_hermite + 1.0) / 4.0
-    if dx2 > needed:
-        raise ValueError(
-            f"x2 grid spacing {dx2:.3g} under-resolves the top Hermite mode (need <= {needed:.3g})"
-        )
-    phi = hermite_functions(a.n_hermite, x2)  # (N2, Nh)
-    tilde = np.einsum("cjn,xn->cjx", a.coeffs, phi)
-    return np.einsum("dc,cjx->djx", _UNTILDE, tilde)
-
-
-def hermite_analyze(fields, grid: X1Grid, x2, n_hermite) -> HermiteAmplitude:
-    """Project an untilded field sampled on an (x1, x2) tensor grid onto the amplitude basis."""
-    fields = np.asarray(fields, dtype=complex)
-    x2 = np.asarray(x2, dtype=float)
-    w = np.gradient(x2)  # trapezoid weights for possibly non-uniform spacing
-    phi = hermite_functions(n_hermite, x2)
-    tilde = np.einsum("dc,cjx->djx", _TILDE, fields)
-    coeffs = np.einsum("cjx,xn->cjn", tilde, phi * w[:, None])
-    return HermiteAmplitude(grid, coeffs)
 
 
 # -- polynomial multiplication algebra ---------------------------------------
@@ -358,7 +312,7 @@ def eval_on_points(values, grid: X1Grid, points):
     decay inside the window, so the periodic continuation of the interpolant
     would alias packet values into the far tails.
     """
-    vh = sfft.fft(np.asarray(values, dtype=complex), axis=0)
+    vh = np.fft.fft(np.asarray(values, dtype=complex), axis=0)
     points = np.asarray(points, dtype=float)
     flat = points.ravel()
     out = trig_interp_matrix(grid, flat) @ vh
@@ -375,7 +329,7 @@ def eval_dilated(values, grid: X1Grid, scales):
     n, s = grid.n, np.asarray(scales, dtype=float).reshape(-1, 1)
     c, lags = np.arange(-(n // 2), n // 2), np.r_[0:n, -n:0]  # lags c - f mod 2 N1 (-N1 unused)
     chirp = lambda m: np.exp((1j * np.pi / n) * s * (m * m))
-    w = sfft.fftshift(sfft.fft(sfft.ifftshift(np.asarray(values, dtype=complex), axes=-1), axis=-1), axes=-1)
-    conv = sfft.ifft(sfft.fft(w * chirp(c), 2 * n, axis=-1) * sfft.fft(np.conj(chirp(lags)), axis=-1), axis=-1)
+    w = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(np.asarray(values, dtype=complex), axes=-1)), axes=-1)
+    conv = np.fft.ifft(np.fft.fft(w * chirp(c), 2 * n) * np.fft.fft(np.conj(chirp(lags))))
     out = conv[..., :n] * (chirp(c) / n)
     return np.where(np.abs(s * grid.x) < grid.half_extent, out, 0.0)

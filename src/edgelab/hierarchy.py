@@ -32,7 +32,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import hermite
 from .hermite import HermiteAmplitude, SolverError, X1Grid
@@ -305,7 +304,7 @@ class CorrectorSolver:
         f1, d/dt f1 and f1' are read at u = x/sqrt(r) by one chirp-z dilation of the three rows."""
         g, r, r_dot = self.grid, ctx.r[0], ctx.r_dot[0]
         u = g.x / np.sqrt(r)
-        fp = sfft.ifft(1j * g.k * sfft.fft(self.f1[i]))
+        fp = np.fft.ifft(1j * g.k * np.fft.fft(self.f1[i]))
         f_u, dtf_u, fp_u = hermite.eval_dilated(np.stack([self.f1[i], self.dtf1[i], fp]), g, 1.0 / np.sqrt(r))
         kf1 = np.zeros((1, 2, g.n, N_BANDS), dtype=complex)
         dt_kf1 = np.zeros_like(kf1)
@@ -382,7 +381,7 @@ def sample_kernel_profile(values, grid: X1Grid, ctx: FrameContext, y, eps, x1, x
     """sample_order0 for a profile sampled on ``grid`` (such as f1), interpolated separably as in
     sample_hermite_amplitude; points with |u| >= grid.half_extent are exactly zero."""
     ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
-    vh = sfft.fft(np.asarray(values, dtype=complex))
+    vh = np.fft.fft(np.asarray(values, dtype=complex))
     f_u = hermite.trig_interp_matrix(grid, ua) @ (vh[:, None] * hermite.mode_phases(grid, ub))
     f_u[np.abs(np.add.outer(ua, ub)) >= grid.half_extent] = 0.0
     return _kernel_packet(f_u, ctx, np.add.outer(va, vb), eps)
@@ -405,7 +404,7 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, x
     nh_eff = int(keep[-1]) + 1 if keep.size else 1
     # lab spinor components: undo the tilde conjugation, then the frame phases
     mix = np.exp(0.5j * ctx.theta * np.array([[-1.0], [1.0]])) * hermite._UNTILDE / np.sqrt(eps)
-    vh = np.einsum("dc,cmn->dmn", mix, sfft.fft(amp.coeffs[:, :, :nh_eff], axis=1))
+    vh = np.einsum("dc,cmn->dmn", mix, np.fft.fft(amp.coeffs[:, :, :nh_eff], axis=1))
     P = hermite.trig_interp_matrix(amp.grid, sr * ua)
     Q = hermite.mode_phases(amp.grid, sr * ub)
     x2v = sr * np.add.outer(va, vb)

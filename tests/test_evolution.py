@@ -150,6 +150,27 @@ def test_residual_recursion_matches_explicit_fixed_point(dt_over_eps):
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("overwrite_x", [False, True])
+def test_transforms_match_scipy_fft2_bit_for_bit(workers, overwrite_x, monkeypatch):
+    from scipy import fft as sfft
+
+    from edgelab import evolution
+
+    monkeypatch.setattr(evolution, "_FFT_WORKERS", workers)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 64, 32)) + 1j * rng.standard_normal((2, 64, 32))
+    for ours, ref in ((evolution._fft2, sfft.fft2), (evolution._ifft2, sfft.ifft2)):
+        want = ref(a, axes=(-2, -1))
+        x = a.copy()
+        got = ours(x, overwrite_x=overwrite_x)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        if overwrite_x:
+            assert got is x
+        else:
+            assert np.array_equal(x.view(np.float64), a.view(np.float64))
+
+
 def test_step_makes_iterations_plus_half_transform_pairs(monkeypatch):
     from edgelab import evolution
 

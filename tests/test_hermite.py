@@ -7,14 +7,12 @@ from edgelab.hermite import (
     HermiteAmplitude,
     X1Grid,
     apply_L,
-    default_x2_grid,
-    hermite_analyze,
     hermite_functions,
-    hermite_synthesize,
     invert_L,
     kernel_amplitude,
     kernel_project,
 )
+from hermite_basis import _TILDE, default_x2_grid, hermite_analyze, hermite_synthesize
 
 GRID = X1Grid(n=128, half_extent=12.0)
 NH = 32
@@ -57,7 +55,7 @@ def test_single_mode_orthonormality():
     phi = hermite_functions(NH, x2)
     w = x2[1] - x2[0]
     # tilde components against each mode: only n = 3 carries weight
-    tilde = np.einsum("dc,cjx->djx", hermite._TILDE, field)
+    tilde = np.einsum("dc,cjx->djx", _TILDE, field)
     proj = np.einsum("jx,xn->jn", tilde[1], phi * w)
     mass = np.sum(np.abs(proj) ** 2, axis=0)
     assert mass[3] > 0
