@@ -27,7 +27,7 @@ def build_parser():
     run = sub.add_parser("run", help="run a config-driven experiment")
     run.add_argument("config", help="config file (section.key = value lines)")
     run.add_argument("--out", default=None, help="output directory (overrides experiment.out)")
-    run.add_argument("--threads", type=int, default=1, help="FFT worker threads")
+    run.add_argument("--threads", type=int, default=1, help="accepted, no effect: transforms run on one thread")
     run.add_argument("--override", action="append", default=[], metavar="section.key=value",
                      help="config override, repeatable")
 

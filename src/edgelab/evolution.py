@@ -17,7 +17,6 @@ the residual update r <- -E r solves it in k + 0.5 FFT pairs for k sweeps.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -62,23 +61,9 @@ def _axes_2d(fn, a, out):
     fn(out, axis=-1, out=out)
 
 
-@functools.cache
-def _fft_pool():
-    from concurrent.futures import ThreadPoolExecutor  # on first use, so that importing stays light
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="edgelab-fft")
-
-
 def _transform_2d(fn, a, overwrite_x):
     out = a if overwrite_x else np.empty(a.shape, dtype=complex)
-    if _FFT_WORKERS > 1 and a.ndim > 2:
-        # numpy's FFT loops release the GIL, so the halves (the two spinor components) run side by side
-        h = len(a) // 2
-        second = _fft_pool().submit(_axes_2d, fn, a[h:], out[h:])
-        _axes_2d(fn, a[:h], out[:h])
-        second.result()
-    else:
-        _axes_2d(fn, a, out)
+    _axes_2d(fn, a, out)
     return out
 
 
