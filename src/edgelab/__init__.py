@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .evolution import EvolutionConfig, Grid2D, SpinorField, apply_H, evolve  # noqa: F401
 from .geometry import integrate_trajectory, project_to_interface  # noqa: F401
-from .hierarchy import assemble_ansatz, corrector_first_order  # noqa: F401
+from .hierarchy import assemble_ansatz  # noqa: F401
 from .profiles import make_profile  # noqa: F401
 from .straight import StraightWall, ballistic_wave, edge_state  # noqa: F401
 from .walls import evaluate_wall, make_wall, normalize_wall  # noqa: F401

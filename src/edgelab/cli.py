@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    edgelab run <config> [--out DIR] [--threads N] [--override k=v]...
-    edgelab check [--threads N]
+    edgelab run <config> [--out DIR] [--override k=v]...
+    edgelab check
     edgelab export-heatmap <snapshot> <pgm>
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import evolution, snapshots
+from . import snapshots
 from .config import ConfigError, load_config
 from .evolution import SolverError
 from .experiments import run_check_suite, run_experiment
@@ -27,12 +27,10 @@ def build_parser():
     run = sub.add_parser("run", help="run a config-driven experiment")
     run.add_argument("config", help="config file (section.key = value lines)")
     run.add_argument("--out", default=None, help="output directory (overrides experiment.out)")
-    run.add_argument("--threads", type=int, default=1, help="accepted, no effect: transforms run on one thread")
     run.add_argument("--override", action="append", default=[], metavar="section.key=value",
                      help="config override, repeatable")
 
-    chk = sub.add_parser("check", help="property-suite smoke run")
-    chk.add_argument("--threads", type=int, default=1)
+    sub.add_parser("check", help="property-suite smoke run")
 
     exp = sub.add_parser("export-heatmap", help="render a binary snapshot as 16-bit PGM")
     exp.add_argument("snapshot")
@@ -42,9 +40,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads:
-        evolution.set_fft_workers(threads)
 
     if args.command == "run":
         try:

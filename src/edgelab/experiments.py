@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 import os
 import platform
 
 import numpy as np
-import scipy
 
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
 from .evolution import EvolutionConfig, Grid2D, SpinorField
-from .geometry import ProjectionError, integrate_trajectory, project_to_interface, trajectory_to_csv
+from .geometry import ProjectionError, Trajectory, integrate_trajectory, project_to_interface
 from .hierarchy import CorrectorSolver, assemble_ansatz
-from .profiles import make_profile
+from .profiles import Profile, make_profile
 from .straight import edge_spinor
 from .walls import TransversalityError, check_transversality, make_wall, normalize_wall
 
@@ -112,35 +112,86 @@ class ErrorTable:
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: (r[0], r[1]))
 
-    def write_csv(self, path):
-        _csv_write(path, ["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"],
-                   [[repr(float(v)) for v in row] for row in self.sorted_rows()])
-
     def errors_at(self, t, tol=1e-9):
         rows = [r for r in self.sorted_rows() if abs(r[1] - t) <= tol]
         return np.array([r[0] for r in rows]), np.array([r[3] for r in rows])
 
 
 # ---------------------------------------------------------------------------
-# shared setup helpers
+# the run skeleton: inputs, one evolution, outputs
 # ---------------------------------------------------------------------------
 
 
-def _build_wall(cfg: ExperimentConfig):
-    wall = make_wall(cfg.get("wall.family"), cfg.get("wall.params"))
-    if cfg.get("wall.normalize"):
-        wall = normalize_wall(wall, cfg.get("wall.tube"))
-    return wall
+def _wall_and_profile(cfg: ExperimentConfig, wall=None):
+    """The wall (the configured one unless given) and the initial profile; a value they reject
+    is a config error."""
+    try:
+        if wall is None:
+            wall = make_wall(cfg.get("wall.family"), cfg.get("wall.params"))
+            if cfg.get("wall.normalize"):
+                wall = normalize_wall(wall, cfg.get("wall.tube"))
+        return wall, make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _prepare(cfg: ExperimentConfig, wall, y0, eps, t_end, truncate=False):
-    """Solver settings, trajectory step, reference trajectory and lab grid of one evolution.
+@dataclasses.dataclass
+class _Run:
+    """One evolution to t_end: solver settings, reference trajectory, lab grid and profile."""
+
+    cfg: ExperimentConfig
+    eps: float
+    t_end: float
+    ec: EvolutionConfig
+    dt_traj: float
+    traj: Trajectory
+    grid: Grid2D
+    profile: Profile
+
+    @functools.cached_property
+    def initial(self):
+        """Initial data on the grid: ansatz, isotropic Gaussian, orthogonal, or spinor mix."""
+        kind, eps, grid = self.cfg.get("init.kind"), self.eps, self.grid
+        theta, y0 = self.traj.theta[0], self.traj.y[0]
+        if kind == "ansatz":
+            return assemble_ansatz(self.cfg.get("init.order"), self.profile, self.traj, 0.0, grid, eps)
+        X1, X2 = grid.mesh()
+        gauss = np.exp(-((X1 - y0[0]) ** 2 + (X2 - y0[1]) ** 2) / (2.0 * eps)) / np.sqrt(eps)
+        if kind == "gaussian":
+            alpha = edge_spinor(theta)
+        elif kind == "orthogonal":
+            alpha = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+        elif kind == "mix":
+            alpha = np.array([self.cfg.get("init.alpha1"), self.cfg.get("init.alpha2")], dtype=complex)
+        else:
+            raise ConfigError(f"unknown init.kind {kind!r}")
+        return SpinorField(grid, gauss[None, ...] * alpha[:, None, None], 0.0)
+
+    def index(self, t):
+        """Trajectory sample at snapshot time t, or None past the end of a truncated trajectory."""
+        t_snap = round(t / self.dt_traj) * self.dt_traj
+        if t_snap > self.traj.t[-1] + self.dt_traj / 2:
+            return None
+        return self.traj.index_at(min(t_snap, self.traj.t[-1]), tol=self.dt_traj)
+
+    def evolve(self, times, hook=None, initial=None):
+        """Evolve ``initial`` (default: the configured data) to t_end with snapshots at ``times``;
+        ``hook(snap, i)`` sees each snapshot with its trajectory index i."""
+        on_snapshot = None if hook is None else lambda snap: hook(snap, self.index(snap.time))
+        return evolution.evolve(self.initial if initial is None else initial, self.traj.wall, self.ec,
+                                self.t_end, snapshot_times=times, on_snapshot=on_snapshot)
+
+
+def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=False) -> _Run:
+    """The inputs of one evolution; the wall defaults to the configured one, y0 to init.y0 on it.
 
     The evolution step follows the dt rule, adjusted to divide t_end; the
     trajectory step divides it and sits near 1e-3 arclength.  With
     ``truncate`` a degenerate interface point halves the trajectory span until
     it integrates, instead of failing the run.
     """
+    wall, profile = _wall_and_profile(cfg, wall)
+    y0 = project_to_interface(wall, cfg.y0()) if y0 is None else y0
     dt_evol = parse_dt_rule(cfg.get("evolve.dt_rule"), eps)
     dt_evol = t_end / max(1, int(round(t_end / dt_evol)))
     try:
@@ -161,15 +212,7 @@ def _prepare(cfg: ExperimentConfig, wall, y0, eps, t_end, truncate=False):
             span /= 2.0
             if not truncate or round(span / dt_traj) < 2:
                 raise
-    return ec, dt_traj, traj, _grid_for(cfg, traj, eps)
-
-
-def _traj_index(traj, dt_traj, t):
-    """Trajectory sample at snapshot time t, or None past the end of a truncated trajectory."""
-    t_snap = round(t / dt_traj) * dt_traj
-    if t_snap > traj.t[-1] + dt_traj / 2:
-        return None
-    return traj.index_at(min(t_snap, traj.t[-1]), tol=dt_traj)
+    return _Run(cfg, eps, t_end, ec, dt_traj, traj, _grid_for(cfg, traj, eps), profile)
 
 
 def _grid_for(cfg: ExperimentConfig, traj, eps):
@@ -198,55 +241,32 @@ def auto_grid(traj_points, eps, margin_widths=5.0, min_n=128, max_n=1024):
     return Grid2D(n1=n, n2=n, l1=half, l2=half)
 
 
-def _initial_field(cfg, profile, traj, grid, eps):
-    """Initial data on the grid: ansatz, isotropic Gaussian, orthogonal, or spinor mix."""
-    kind = cfg.get("init.kind")
-    theta, y0 = traj.theta[0], traj.y[0]
-    if kind == "ansatz":
-        return assemble_ansatz(cfg.get("init.order"), profile, traj, 0.0, grid, eps)
-    X1, X2 = grid.mesh()
-    gauss = np.exp(-((X1 - y0[0]) ** 2 + (X2 - y0[1]) ** 2) / (2.0 * eps)) / np.sqrt(eps)
-    if kind == "gaussian":
-        alpha = edge_spinor(theta)
-    elif kind == "orthogonal":
-        alpha = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    elif kind == "mix":
-        alpha = np.array([cfg.get("init.alpha1"), cfg.get("init.alpha2")], dtype=complex)
-    else:
-        raise ConfigError(f"unknown init.kind {kind!r}")
-    return SpinorField(grid, gauss[None, ...] * alpha[:, None, None], 0.0)
-
-
-def _write_meta(out_dir, cfg: ExperimentConfig, extra_lines=()):
-    lines = [f"edgelab {__version__}",
-             f"numpy {np.__version__}, scipy {scipy.__version__}, python {platform.python_version()}",
-             "--- effective configuration ---", *cfg.echo_lines()]
-    if extra_lines:
-        lines += ["--- run record ---", *map(str, extra_lines)]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-
-
-def _wall_check_lines(wall, traj):
+def _wall_check_lines(traj):
     stride = max(1, len(traj) // 64)
-    report = check_transversality(wall, traj.y[::stride], tol=1e-8, floor=1e-3)
+    report = check_transversality(traj.wall, traj.y[::stride], tol=1e-8, floor=1e-3)
     return [
-        f"wall = {wall.describe()}",
+        f"wall = {traj.wall.describe()}",
         f"transversality: min |grad kappa| = {report.min_gradient!r} over {report.n_samples} samples "
         f"(floor {report.floor:g}, {'pass' if report.passed else 'FAIL'})",
     ]
 
 
-def _csv_write(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
-
-
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+    """A CSV cell: any float (numpy's too) as its round-trip repr, anything else as it is."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
+
+def _write_outputs(out_dir, cfg: ExperimentConfig, tables, meta_lines):
+    """Write each ``{file name: (header, rows)}`` table as CSV, then ``meta.txt`` with the
+    effective configuration and the run record ``meta_lines``."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *([_fmt(v) for v in row] for row in rows)])
+    lines = [f"edgelab {__version__}", f"numpy {np.__version__}, python {platform.python_version()}",
+             "--- effective configuration ---", *cfg.echo_lines(), "--- run record ---", *map(str, meta_lines)]
+    with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -261,46 +281,37 @@ def run_evolve(cfg: ExperimentConfig, out_dir):
     trajectory early; the evolution itself still runs to t_end and the
     center-of-mass columns simply lose their interface reference there.
     """
-    eps = cfg.get("evolve.epsilon")
-    t_end = cfg.get("evolve.t_end")
-    wall = _build_wall(cfg)
-    y0 = project_to_interface(wall, cfg.y0())
-    ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end, truncate=True)
-    truncated = bool(traj.t[-1] < t_end - dt_traj / 2)
-    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    initial = _initial_field(cfg, profile, traj, grid, eps)
-
+    eps, t_end = cfg.get("evolve.epsilon"), cfg.get("evolve.t_end")
+    run = _prepare(cfg, eps, t_end, truncate=True)
+    traj = run.traj
+    truncated = bool(traj.t[-1] < t_end - run.dt_traj / 2)
+    initial = run.initial  # built before the output directory exists
     os.makedirs(out_dir, exist_ok=True)
     rows = []
 
-    def on_snapshot(snap):
-        idx = _traj_index(traj, dt_traj, snap.time)
-        if idx is not None:
-            y_t = traj.y[idx]
-            dist = float(np.hypot(*(snap.center_of_mass - y_t)))
-            ref = [_fmt(float(y_t[0])), _fmt(float(y_t[1])), _fmt(dist)]
-        else:
-            ref = ["", "", ""]  # trajectory truncated at a degenerate point
-        rows.append([_fmt(float(snap.time)), _fmt(snap.norm),
-                     _fmt(float(snap.center_of_mass[0])), _fmt(float(snap.center_of_mass[1]))] + ref)
+    def on_snapshot(snap, i):
+        com = snap.center_of_mass
+        # no interface reference past a truncated trajectory's end
+        ref = ["", "", ""] if i is None else [*traj.y[i], np.hypot(*(com - traj.y[i]))]
+        rows.append([snap.time, snap.norm, *com, *ref])
         if cfg.get("evolve.save_fields"):
             snapshots.write_snapshot(os.path.join(out_dir, f"field_{snap.time:011.6f}.desl"), snap.field, eps)
         if cfg.get("evolve.heatmaps"):
             snapshots.export_pgm(os.path.join(out_dir, f"density_{snap.time:011.6f}.pgm"), snap.field)
 
-    times = np.linspace(0.0, t_end, max(2, cfg.get("evolve.snapshots")))
-    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
-    _csv_write(os.path.join(out_dir, "evolution.csv"),
-               ["t", "norm", "com1", "com2", "y1", "y2", "com_to_interface"], rows)
-    trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-    meta = _wall_check_lines(wall, traj) + [
-        f"dt = {ec.dt!r}, trajectory dt = {dt_traj!r}, grid = {grid}",
+    result = run.evolve(np.linspace(0.0, t_end, max(2, cfg.get("evolve.snapshots"))), on_snapshot, initial)
+    meta = _wall_check_lines(traj) + [
+        f"dt = {run.ec.dt!r}, trajectory dt = {run.dt_traj!r}, grid = {run.grid}",
         f"norm drift = {result.norm_drift!r}, max krylov iterations = {result.max_krylov_iterations}",
     ]
     if truncated:
         meta.append(f"reference trajectory truncated at t = {float(traj.t[-1])!r} "
                     "(degenerate interface point)")
-    _write_meta(out_dir, cfg, meta)
+    _write_outputs(out_dir, cfg, {
+        "evolution.csv": (["t", "norm", "com1", "com2", "y1", "y2", "com_to_interface"], rows),
+        "trajectory.csv": (["t", "y1", "y2", "theta", "r", "theta_dot", "Theta"],
+                           zip(traj.t, *traj.y.T, traj.theta, traj.r, traj.theta_dot, traj.Theta)),
+    }, meta)
     return {"norm_drift": result.norm_drift, "rows": rows, "trajectory_truncated": truncated}
 
 
@@ -310,31 +321,21 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
     if len(eps_list) >= 3 and max(eps_list) / min(eps_list) < 4.0:
         raise ConfigError("scaling.epsilons should span at least a factor 4")
     times = sorted(cfg.get("scaling.times"))
-    t_end = times[-1]
-    wall = _build_wall(cfg)
-    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    y0 = project_to_interface(wall, cfg.y0())
-
-    rows = []
-    drift = 0.0
-    meta_extra = []
+    rows, drift, meta = [], 0.0, []
     for eps in eps_list:
-        ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
-        initial = _initial_field(cfg, profile, traj, grid, eps)
-        norm0 = initial.norm()
+        run = _prepare(cfg, eps, times[-1])
+        norm0 = run.initial.norm()
 
-        def on_snapshot(snap):
-            if not any(abs(snap.time - t) < ec.dt / 2 for t in times):
-                return
-            idx = _traj_index(traj, dt_traj, snap.time)
-            ref = assemble_ansatz(0, profile, traj, traj.t[idx], grid, eps)
-            diag = evolution.overlap_diagnostics(snap.field, ref, traj.y[idx], norm_ref=norm0)
-            rows.append((eps, float(snap.time), diag.l2_error, diag.relative_error,
-                         diag.center_offset, float(traj.Theta[idx])))
+        def on_snapshot(snap, i):
+            if any(abs(snap.time - t) < run.ec.dt / 2 for t in times):
+                ref = assemble_ansatz(0, run.profile, run.traj, run.traj.t[i], run.grid, eps)
+                diag = evolution.overlap_diagnostics(snap.field, ref, run.traj.y[i], norm_ref=norm0)
+                rows.append((eps, snap.time, diag.l2_error, diag.relative_error,
+                             diag.center_offset, run.traj.Theta[i]))
 
-        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
+        result = run.evolve(times, on_snapshot)
         drift = max(drift, result.norm_drift)
-        meta_extra.append(f"eps = {eps!r}: dt = {ec.dt!r}, grid = {grid}, drift = {result.norm_drift!r}")
+        meta.append(f"eps = {eps!r}: dt = {run.ec.dt!r}, grid = {run.grid}, drift = {result.norm_drift!r}")
 
     fits = {}
     for t in times:
@@ -344,15 +345,12 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
     if not fits:
         raise ConfigError("scaling fit degenerate: fewer than 3 valid rows at every sample time")
     table = ErrorTable(rows=rows, fits=fits)
-    os.makedirs(out_dir, exist_ok=True)
-    table.write_csv(os.path.join(out_dir, "errors.csv"))
-    _csv_write(
-        os.path.join(out_dir, "fits.csv"),
-        ["t", "slope", "intercept", "stderr", "ci_low", "ci_high", "n"],
-        [[repr(float(t)), repr(f.slope), repr(f.intercept), repr(f.stderr),
-          repr(f.ci_low), repr(f.ci_high), f.n] for t, f in sorted(fits.items())],
-    )
-    _write_meta(out_dir, cfg, _wall_check_lines(wall, traj) + meta_extra + [f"max norm drift = {drift!r}"])
+    _write_outputs(out_dir, cfg, {
+        "errors.csv": (["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"],
+                       table.sorted_rows()),
+        "fits.csv": (["t", "slope", "intercept", "stderr", "ci_low", "ci_high", "n"],
+                     [[t, *dataclasses.astuple(f)] for t, f in sorted(fits.items())]),
+    }, _wall_check_lines(run.traj) + meta + [f"max norm drift = {drift!r}"])
     return table
 
 
@@ -365,53 +363,40 @@ def run_berry(cfg: ExperimentConfig, out_dir):
     tube; the evolution still runs to the end.
     """
     eps = cfg.get("evolve.epsilon")
-    radii = cfg.get("berry.radii")
-    if not radii:
-        params = cfg.get("wall.params")
-        radii = (params[0] if params else 1.0,)
-    revolutions = cfg.get("berry.revolutions")
-    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    results = {}
-    os.makedirs(out_dir, exist_ok=True)
-    meta_extra = []
+    radii = cfg.get("berry.radii") or (cfg.get("wall.params") or (1.0,))[:1]
+    if min(radii) <= 0:
+        raise ConfigError("berry radii must be positive")
+    results, tables, meta = {}, {}, []
     for radius in radii:
         wall = make_wall("circle", (radius,))
-        t_end = 2.0 * np.pi * radius * revolutions
-        y0 = project_to_interface(wall, np.array([radius, 0.0]))
-        ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
-        initial = _initial_field(cfg, profile, traj, grid, eps)
-        raw, thetas, snap_t, decohered = [], [], [], False
+        t_end = 2.0 * np.pi * radius * cfg.get("berry.revolutions")
+        run = _prepare(cfg, eps, t_end, wall, project_to_interface(wall, np.array([radius, 0.0])))
+        traj = run.traj
+        trace, decohered = [], False  # trace rows (t, raw phase, theta - theta_0)
 
-        def on_snapshot(snap):
+        def on_snapshot(snap, i):
             nonlocal decohered
-            if decohered:
-                return
-            idx = _traj_index(traj, dt_traj, snap.time)
-            y_t = traj.y[idx]
-            if float(np.hypot(*(snap.center_of_mass - y_t))) > 4.0 * np.sqrt(eps):
-                decohered = True
-                return
-            raw.append(evolution.phase_at(snap.field, y_t))
-            thetas.append(traj.theta[idx] - traj.theta[0])
-            snap_t.append(snap.time)
+            y = traj.y[i]
+            decohered = decohered or float(np.hypot(*(snap.center_of_mass - y))) > 4.0 * np.sqrt(eps)
+            if not decohered:
+                trace.append((snap.time, evolution.phase_at(snap.field, y), traj.theta[i] - traj.theta[0]))
 
         times = np.linspace(0.0, t_end, max(8, cfg.get("berry.snapshots")))
-        result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
-        phases = np.unwrap(np.asarray(raw))
+        result = run.evolve(times, on_snapshot)
+        snap_t, raw, thetas = np.array(trace).T
+        phases = np.unwrap(raw)
         phases -= phases[0]
         total = float(phases[-1])
-        rows = [[_fmt(float(t)), _fmt(float(p)), _fmt(float(-0.5 * th))]
-                for t, p, th in zip(snap_t, phases, thetas)]
-        _csv_write(os.path.join(out_dir, f"phase_r{radius:g}.csv"),
-                   ["t", "phase", "predicted_minus_theta_over_2"], rows)
+        tables[f"phase_r{radius:g}.csv"] = (["t", "phase", "predicted_minus_theta_over_2"],
+                                            zip(snap_t, phases, -0.5 * thetas))
         results[radius] = {"total_phase": total, "decohered": decohered, "norm_drift": result.norm_drift}
-        meta_extra.extend(_wall_check_lines(wall, traj))
-        meta_extra.append(
-            f"radius {radius!r}: dt = {ec.dt!r}, grid = {grid}, total phase = {total!r}, "
+        meta.extend(_wall_check_lines(traj))
+        meta.append(
+            f"radius {radius!r}: dt = {run.ec.dt!r}, grid = {run.grid}, total phase = {total!r}, "
             f"drift = {result.norm_drift!r}"
             + (" (partial trace: packet left the interface tube)" if decohered else "")
         )
-    _write_meta(out_dir, cfg, meta_extra)
+    _write_outputs(out_dir, cfg, tables, meta)
     return results
 
 
@@ -422,32 +407,26 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
     data also records the overlap coefficient with the propagating ansatz.
     The measured exponent is reported, never asserted.
     """
-    eps = cfg.get("evolve.epsilon")
-    t_end = cfg.get("evolve.t_end")
-    wall = _build_wall(cfg)
-    y0 = project_to_interface(wall, cfg.y0())
-    ec, dt_traj, traj, grid = _prepare(cfg, wall, y0, eps, t_end)
-    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
-    initial = _initial_field(cfg, profile, traj, grid, eps)
+    eps, t_end = cfg.get("evolve.epsilon"), cfg.get("evolve.t_end")
+    run = _prepare(cfg, eps, t_end)
+    traj, grid = run.traj, run.grid
 
     # lambda1: component of the initial spinor along the propagating direction
     w0 = edge_spinor(traj.theta[0])
     i1 = int(np.argmin(np.abs(grid.x1 - traj.y[0][0])))
     i2 = int(np.argmin(np.abs(grid.x2 - traj.y[0][1])))
-    alpha = initial.data[:, i1, i2] * np.sqrt(eps)
+    alpha = run.initial.data[:, i1, i2] * np.sqrt(eps)
     lambda1 = complex(np.vdot(w0, alpha) / 2.0)
 
     rows = []
 
-    def on_snapshot(snap):
-        idx = _traj_index(traj, dt_traj, snap.time)
+    def on_snapshot(snap, i):
         sup = float(np.sqrt(np.max(snap.field.density())))
-        ref = assemble_ansatz(0, profile, traj, traj.t[idx], grid, eps)
+        ref = assemble_ansatz(0, run.profile, traj, traj.t[i], grid, eps)
         ov = complex(np.sum(np.conj(ref.data) * snap.field.data) * grid.dA)
-        rows.append((float(snap.time), sup, abs(ov) / max(ref.norm() ** 2, 1e-300)))
+        rows.append((snap.time, sup, abs(ov) / max(ref.norm() ** 2, 1e-300)))
 
-    times = np.linspace(0.0, t_end, max(5, cfg.get("probe.sup_samples")))
-    result = evolution.evolve(initial, wall, ec, t_end, snapshot_times=times, on_snapshot=on_snapshot)
+    result = run.evolve(np.linspace(0.0, t_end, max(5, cfg.get("probe.sup_samples"))), on_snapshot)
 
     t_min = cfg.get("probe.fit_t_min")
     t_max = cfg.get("probe.fit_t_max") or t_end
@@ -456,14 +435,12 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
         raise ConfigError("dispersion fit window too short (need >= 3 samples)")
     fit = fit_loglog([t for t, _ in window], [s for _, s in window])
 
-    os.makedirs(out_dir, exist_ok=True)
-    _csv_write(os.path.join(out_dir, "decay.csv"), ["t", "sup_norm", "ansatz_overlap_coeff"],
-               [[_fmt(t), _fmt(s), _fmt(o)] for t, s, o in rows])
-    _write_meta(out_dir, cfg, _wall_check_lines(wall, traj) + [
-        f"fitted sup-norm exponent = {fit.slope!r} (95% CI [{fit.ci_low!r}, {fit.ci_high!r}])",
-        f"|lambda1| = {abs(lambda1)!r}",
-        f"norm drift = {result.norm_drift!r}",
-    ])
+    _write_outputs(out_dir, cfg, {"decay.csv": (["t", "sup_norm", "ansatz_overlap_coeff"], rows)},
+                   _wall_check_lines(traj) + [
+                       f"fitted sup-norm exponent = {fit.slope!r} (95% CI [{fit.ci_low!r}, {fit.ci_high!r}])",
+                       f"|lambda1| = {abs(lambda1)!r}",
+                       f"norm drift = {result.norm_drift!r}",
+                   ])
     return {"fit": fit, "rows": rows, "lambda1": lambda1, "norm_drift": result.norm_drift}
 
 
@@ -482,8 +459,7 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     eps_list = sorted(cfg.get("scaling.epsilons"), reverse=True)
     times = sorted(cfg.get("hierarchy.times"))
     fd_dt = cfg.get("hierarchy.fd_dt")
-    wall = _build_wall(cfg)
-    profile = make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
+    wall, profile = _wall_and_profile(cfg)
     y0 = project_to_interface(wall, cfg.y0())
 
     t_max = times[-1] + 2.0 * fd_dt
@@ -503,15 +479,6 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     fits = {(m, t): fit_loglog(eps_list, [found[m, eps, t][3] for eps in eps_list])
             for m in orders for t in times if len(eps_list) >= 3}
 
-    os.makedirs(out_dir, exist_ok=True)
-    _csv_write(os.path.join(out_dir, "residuals.csv"),
-               ["order", "epsilon", "t", "residual", "relative_residual"],
-               [[r[0], _fmt(r[1]), _fmt(r[2]), _fmt(r[3]), _fmt(r[4])] for r in rows])
-    _csv_write(os.path.join(out_dir, "residual_fits.csv"),
-               ["order", "t", "slope", "expected", "ci_low", "ci_high"],
-               [[m, _fmt(float(t)), _fmt(f.slope), _fmt((m + 2) / 2.0), _fmt(f.ci_low), _fmt(f.ci_high)]
-                for (m, t), f in sorted(fits.items())])
-
     extra = [f"solvability residual max = {solver.max_solvability_residual()!r}",
              f"truncation health max = {solver.truncation_max!r}"] if solver else ["order 0 only"]
     evolve_fits = {}
@@ -520,14 +487,14 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
         errs = {m: [] for m in orders}
         built = {}  # equal trajectory steps give equal trajectories: one solver per step serves every order
         for eps in eps_list:
-            ec, dt_traj, tr, grid = _prepare(cfg, wall, y0, eps, T)
-            if dt_traj not in built:
-                built[dt_traj] = tr, (CorrectorSolver(profile, tr) if max(orders) > 0 else None)
-            tr, sol = built[dt_traj]
+            run = _prepare(cfg, eps, T, wall, y0)
+            if run.dt_traj not in built:
+                built[run.dt_traj] = run.traj, (CorrectorSolver(profile, run.traj) if max(orders) > 0 else None)
+            tr, sol = built[run.dt_traj]
             for m in orders:
-                initial = assemble_ansatz(m, profile, tr, 0.0, grid, eps, sol)
-                res = evolution.evolve(initial, wall, ec, T)
-                ref = assemble_ansatz(m, profile, tr, T, grid, eps, sol)
+                initial = assemble_ansatz(m, profile, tr, 0.0, run.grid, eps, sol)
+                res = run.evolve((), initial=initial)
+                ref = assemble_ansatz(m, profile, tr, T, run.grid, eps, sol)
                 diag = evolution.overlap_diagnostics(res.final, ref, tr.y[-1], norm_ref=initial.norm())
                 errs[m].append(diag.relative_error)
         if len(eps_list) >= 3:
@@ -535,7 +502,12 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
                 evolve_fits[m] = fit_loglog(eps_list, errs[m])
                 extra.append(f"order {m} evolution error slope = {evolve_fits[m].slope!r} "
                              f"(theory {(m + 1) / 2.0})")
-    _write_meta(out_dir, cfg, _wall_check_lines(wall, traj) + extra)
+    _write_outputs(out_dir, cfg, {
+        "residuals.csv": (["order", "epsilon", "t", "residual", "relative_residual"], rows),
+        "residual_fits.csv": (["order", "t", "slope", "expected", "ci_low", "ci_high"],
+                              [[m, t, f.slope, (m + 2) / 2.0, f.ci_low, f.ci_high]
+                               for (m, t), f in sorted(fits.items())]),
+    }, _wall_check_lines(traj) + extra)
     return {"rows": rows, "fits": fits, "evolve_fits": evolve_fits,
             "solvability": solver.max_solvability_residual() if solver else 0.0}
 

@@ -10,7 +10,6 @@ Theta_t = int_0^t theta_dot^2 ds that controls coherence loss on curved walls.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "project_to_interface",
     "integrate_trajectory",
     "hessian_frame_residual",
-    "trajectory_to_csv",
 ]
 
 
@@ -206,21 +204,3 @@ def hessian_frame_residual(traj: Trajectory, x_probes) -> float:
         worst = max(worst, float(np.max(np.abs(quad - traj.theta_dot * x[0] ** 2))))
     return worst
 
-
-def trajectory_to_csv(traj: Trajectory, path):
-    """Write the trajectory as CSV with columns t, y1, y2, theta, r, theta_dot, Theta."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "y1", "y2", "theta", "r", "theta_dot", "Theta"])
-        for i in range(len(traj)):
-            w.writerow(
-                [
-                    repr(float(traj.t[i])),
-                    repr(float(traj.y[i, 0])),
-                    repr(float(traj.y[i, 1])),
-                    repr(float(traj.theta[i])),
-                    repr(float(traj.r[i])),
-                    repr(float(traj.theta_dot[i])),
-                    repr(float(traj.Theta[i])),
-                ]
-            )

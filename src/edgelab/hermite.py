@@ -194,25 +194,25 @@ def apply_L(a: HermiteAmplitude) -> HermiteAmplitude:
     return HermiteAmplitude(a.grid, out)
 
 
-def kernel_project(a, r=1.0):
+def kernel_project(a):
     """Split off the kernel part (first component, band 0) of an amplitude.
 
     ``a`` is a HermiteAmplitude or a coefficient array (..., 2, N1, nb).
     Returns (f, remainder): ``f`` is the profile on the x1 grid such that the
-    kernel part equals the canonical embedding of f at gradient magnitude r,
-    and the remainder, of the same form as ``a``, is orthogonal to the kernel.
+    kernel part equals the canonical embedding of f (kernel_amplitude), and
+    the remainder, of the same form as ``a``, is orthogonal to the kernel.
     """
     c = a.coeffs if isinstance(a, HermiteAmplitude) else a
     rem = c.copy()
     rem[..., 0, :, 0] = 0.0
-    f = c[..., 0, :, 0] / (_KERNEL_NORM * r**0.25)
+    f = c[..., 0, :, 0] / _KERNEL_NORM
     return f, HermiteAmplitude(a.grid, rem) if isinstance(a, HermiteAmplitude) else rem
 
 
-def kernel_amplitude(f_values, grid, n_hermite, r=1.0) -> HermiteAmplitude:
+def kernel_amplitude(f_values, grid, n_hermite) -> HermiteAmplitude:
     """Embed a profile (sampled on the x1 grid, already in canonical coordinates) into the kernel."""
     out = HermiteAmplitude.zeros(grid, n_hermite)
-    out.coeffs[0, :, 0] = _KERNEL_NORM * r**0.25 * np.asarray(f_values)
+    out.coeffs[0, :, 0] = _KERNEL_NORM * np.asarray(f_values)
     return out
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "FrameContext",
     "frame_context",
     "CorrectorSolver",
-    "corrector_first_order",
     "assemble_ansatz",
     "sample_order0",
     "sample_kernel_profile",
@@ -345,13 +344,6 @@ class CorrectorSolver:
         return float(np.max(self.solvability)) if len(self.solvability) else 0.0
 
 
-def corrector_first_order(profile: Profile, traj, t, grid=DEFAULT_X1_GRID):
-    """First corrector at time t: (b1 amplitude, f1 samples in the profile variable)."""
-    solver = CorrectorSolver(profile, traj, grid)
-    i = traj.index_at(t)
-    return solver.b1(i), solver.f1_values(i)
-
-
 # -- lab-frame sampling --------------------------------------------------------
 
 
@@ -437,17 +429,17 @@ def _ansatz_fields(order, profile, traj, i, grid2d, eps, solver):
     return fields
 
 
-def _ansatz_solver(orders, profile, traj, grid2d, eps, solver, grid):
+def _ansatz_solver(orders, profile, traj, grid2d, eps, solver):
     """Validate an ansatz request; returns the corrector solver it needs (None for order 0)."""
     if any(m not in (0, 1, 2) for m in orders):
         raise ValueError("corrector order must be 0, 1 or 2")
     grid2d.check_resolution(eps)
     if solver is not None and solver.traj is not traj:
         raise ValueError("corrector solver was built over a different trajectory")
-    return CorrectorSolver(profile, traj, grid) if solver is None and max(orders) > 0 else solver
+    return CorrectorSolver(profile, traj) if solver is None and max(orders) > 0 else solver
 
 
-def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None, grid=DEFAULT_X1_GRID):
+def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None):
     """Sample the order-m ansatz (m in {0, 1, 2}) on a lab grid as a SpinorField.
 
     Order 0 is the closed-form kernel state, order 1 adds sqrt(eps) (b1 + K f1) and order 2
@@ -455,13 +447,12 @@ def assemble_ansatz(order, profile, traj, t, grid2d, eps, solver=None, grid=DEFA
     """
     from .evolution import SpinorField  # local import to avoid a cycle
 
-    solver = _ansatz_solver((order,), profile, traj, grid2d, eps, solver, grid)
+    solver = _ansatz_solver((order,), profile, traj, grid2d, eps, solver)
     data = _ansatz_fields(order, profile, traj, traj.index_at(t), grid2d, eps, solver)[order]
     return SpinorField(grid=grid2d, data=data, time=float(t))
 
 
-def ansatz_residuals(orders, profile, traj, t, grid2d, eps, solver=None, dt_fd=None,
-                     grid=DEFAULT_X1_GRID, kappa=None):
+def ansatz_residuals(orders, profile, traj, t, grid2d, eps, solver=None, dt_fd=None, kappa=None):
     """Discrete residuals ||(eps D_t + H) W_m|| at time t, one (residual, field norm) per m in ``orders``.
 
     At t and t -+ dt_fd (default: the trajectory step) the terms are sampled once and every W_m
@@ -470,7 +461,7 @@ def ansatz_residuals(orders, profile, traj, t, grid2d, eps, solver=None, dt_fd=N
     """
     from . import evolution
 
-    solver = _ansatz_solver(orders, profile, traj, grid2d, eps, solver, grid)
+    solver = _ansatz_solver(orders, profile, traj, grid2d, eps, solver)
     dt_fd = traj.dt if dt_fd is None else dt_fd
     steps = int(round(dt_fd / traj.dt))
     if steps < 1 or abs(steps * traj.dt - dt_fd) > 1e-12:
@@ -483,6 +474,6 @@ def ansatz_residuals(orders, profile, traj, t, grid2d, eps, solver=None, dt_fd=N
     return [(l2(eps_dt(m) + evolution.apply_H(w_0[m], kappa, eps, grid2d)), l2(w_0[m])) for m in orders]
 
 
-def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None, grid=DEFAULT_X1_GRID):
+def ansatz_residual(order, profile, traj, t, grid2d, eps, solver=None, dt_fd=None):
     """Discrete residual ||(eps D_t + H) W|| of the order-m ansatz at time t: (residual, field norm)."""
-    return ansatz_residuals((order,), profile, traj, t, grid2d, eps, solver, dt_fd, grid)[0]
+    return ansatz_residuals((order,), profile, traj, t, grid2d, eps, solver, dt_fd)[0]

@@ -20,7 +20,6 @@ __all__ = [
     "edge_spinor",
     "edge_state",
     "ballistic_wave",
-    "frame_gauge_map",
 ]
 
 
@@ -79,13 +78,3 @@ def ballistic_wave(w: StraightWall, f, t, x):
     u, v = _rotated_points(w.theta, x)
     scalar = f(t + u) * np.exp(-w.r * v * v / (2.0 * w.epsilon)) / np.sqrt(w.epsilon)
     return scalar[..., None] * edge_spinor(w.theta)
-
-
-def frame_gauge_map(theta, F, x):
-    """Apply the rotation/gauge conjugation: (U_theta F)(x) = diag(e^{-i th/2}, e^{i th/2}) F(R_theta x).
-
-    ``F`` maps points of shape (..., 2) to spinor fields of shape (..., 2).
-    """
-    val = np.asarray(F(np.stack(_rotated_points(theta, x), axis=-1)))
-    phase = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    return val * phase

@@ -63,8 +63,9 @@ def test_cli_import_skips_scipy_linalg():
 
 
 def test_cli_import_skips_scipy_fft_and_special():
-    # scipy.fft pulls in scipy.special and numpy.f2py: about 0.35 s and 25 MB at start-up
-    for module in ("scipy.fft", "scipy.special", "numpy.f2py"):
+    # scipy.fft pulls in scipy.special and numpy.f2py: about 0.35 s and 25 MB at start-up;
+    # the runtime needs no scipy at all
+    for module in ("scipy", "scipy.fft", "scipy.special", "numpy.f2py"):
         assert _loaded_by_cli_import(module) == "False", module
 
 
@@ -285,9 +286,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text("experiment.kind = dance\n")
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
-    # values that Grid2D, check_resolution or EvolutionConfig reject are config errors too
-    for override in ("grid.n1=100", "grid.n1=16", "evolve.krylov_tol=1e-3"):
-        assert cli_main(["run", str(cfg_path), "--out", str(out), "--override", override]) == 2
+    # values that Grid2D, check_resolution, EvolutionConfig, the wall or the profile reject are
+    # config errors too
+    for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["wall.family=nope"],
+                      ["init.profile=nope"], ["init.profile_params=-1"], ["init.profile_params=1,2,3"],
+                      ["wall.family=corner", "wall.params=0.5,7"], ["experiment.kind=berry", "berry.radii=-1"]):
+        assert cli_main(["run", str(cfg_path), "--out", str(out),
+                         *(arg for o in overrides for arg in ("--override", o))]) == 2
         assert "config error" in capsys.readouterr().err
 
 

@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from edgelab.config import ExperimentConfig, parse_config_text
+from edgelab.experiments import run_experiment
 from edgelab.geometry import (
     ProjectionError,
     hessian_frame_residual,
     integrate_trajectory,
     project_to_interface,
-    trajectory_to_csv,
 )
 from edgelab.walls import TransversalityError, make_wall, normalize_wall
 
@@ -133,9 +134,14 @@ def test_hessian_frame_residual_values():
 def test_trajectory_csv(tmp_path):
     wall = make_wall("circle", (1.0,))
     traj = integrate_trajectory(wall, np.array([1.0, 0.0]), 0.1, 1e-2)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    with open(path) as fh:
+    # run_evolve writes this trajectory: trajectory step 1e-2 up to t_end = 0.1
+    cfg = ExperimentConfig(parse_config_text(
+        "experiment.kind = evolve\nwall.family = circle\nwall.params = 1.0\n"
+        "grid.n1 = 64\ngrid.n2 = 64\ngrid.l1 = 4.0\ngrid.l2 = 4.0\n"
+        "evolve.epsilon = 0.25\nevolve.t_end = 0.1\nevolve.dt_rule = 0.01\ntraj.dt = 0.01\n"
+        "init.y0 = 1.0, 0.0\n"))
+    run_experiment(cfg, str(tmp_path))
+    with open(tmp_path / "trajectory.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "y1", "y2", "theta", "r", "theta_dot", "Theta"]
     assert len(rows) == len(traj) + 1

@@ -177,8 +177,8 @@ def test_invert_annihilates_kernel():
 
 def test_kernel_project_recovers_profile():
     f = np.exp(-0.5 * GRID.x**2)
-    a = kernel_amplitude(f, GRID, NH, r=1.0)
-    got, rem = kernel_project(a, r=1.0)
+    a = kernel_amplitude(f, GRID, NH)
+    got, rem = kernel_project(a)
     assert np.max(np.abs(got - f)) <= 1e-12
     assert rem.norm() <= 1e-14
 

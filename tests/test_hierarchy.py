@@ -12,7 +12,6 @@ from edgelab.hierarchy import (
     FrameContext,
     ansatz_residual,
     assemble_ansatz,
-    corrector_first_order,
     frame_context,
     sample_hermite_amplitude,
     sample_kernel_profile,
@@ -81,7 +80,9 @@ def test_leading_amplitude_r_scaling():
 def test_straight_wall_correctors_vanish():
     wall = straight_wall(0.3, 1.0)
     traj = integrate_trajectory(wall, np.array([0.0, 0.0]), 0.1, 1e-3)
-    b1, f1 = corrector_first_order(GaussianProfile(), traj, 0.1)
+    solver = CorrectorSolver(GaussianProfile(), traj)
+    i = traj.index_at(0.1)
+    b1, f1 = solver.b1(i), solver.f1_values(i)
     assert b1.norm() <= 1e-12
     assert np.max(np.abs(f1)) <= 1e-12
 

@@ -3,7 +3,7 @@ import pytest
 
 from edgelab.evolution import Grid2D, apply_H
 from edgelab.profiles import GaussianProfile, make_profile
-from edgelab.straight import StraightWall, ballistic_wave, edge_state, edge_spinor, frame_gauge_map
+from edgelab.straight import StraightWall, ballistic_wave, edge_spinor, edge_state, rotated_coords
 
 
 def test_edge_state_trivial_values():
@@ -82,6 +82,16 @@ def test_ballistic_wave_norm_is_time_independent():
         field = ballistic_wave(w, f, t, pts)
         norms.append(np.sqrt(np.sum(np.abs(field) ** 2) * grid.dA))
     assert np.max(np.abs(np.diff(norms))) < 1e-10 * norms[0]
+
+
+def frame_gauge_map(theta, F, x):
+    """Apply the rotation/gauge conjugation: (U_theta F)(x) = diag(e^{-i th/2}, e^{i th/2}) F(R_theta x).
+
+    ``F`` maps points of shape (..., 2) to spinor fields of shape (..., 2).
+    """
+    val = np.asarray(F(np.stack(rotated_coords(theta, x[..., 0], x[..., 1]), axis=-1)))
+    phase = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    return val * phase
 
 
 def test_conjugation_reproduces_rotated_edge_state():
