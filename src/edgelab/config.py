@@ -76,7 +76,7 @@ _DEFAULT_Y0 = {
     "tanh": (0.0, 0.0),
     "circle": (1.0, 0.0),
     "modulated_straight": (0.0, 0.0),
-    "corner": (2.0, None),  # projected onto Gamma
+    "corner": (2.0, 0.0),  # projected onto Gamma
     "crossing": (1.0, 0.0),
     "two_ring": (1.41, 0.0),
 }
@@ -193,8 +193,7 @@ class ExperimentConfig:
         fam = self.get("wall.family")
         if fam not in _DEFAULT_Y0:
             raise ConfigError(f"no default starting point for wall family {fam!r}; set init.y0")
-        a, b = _DEFAULT_Y0[fam]
-        return np.array([a, 0.0 if b is None else b], dtype=float)
+        return np.array(_DEFAULT_Y0[fam], dtype=float)
 
     def apply_overrides(self, overrides):
         """Apply repeatable 'section.key=value' strings on top of the file."""

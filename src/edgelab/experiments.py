@@ -10,6 +10,7 @@ residual study.  No run draws random numbers; every run writes a
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -26,11 +27,10 @@ from .geometry import ProjectionError, Trajectory, integrate_trajectory, project
 from .hierarchy import CorrectorSolver, assemble_ansatz
 from .profiles import Profile, make_profile
 from .straight import edge_spinor
-from .walls import TransversalityError, check_transversality, make_wall, normalize_wall
+from .walls import SingularPointError, TransversalityError, check_transversality, make_wall, normalize_wall
 
 __all__ = [
     "FitResult",
-    "ErrorTable",
     "fit_loglog",
     "run_experiment",
     "run_evolve",
@@ -102,21 +102,6 @@ def fit_loglog(x, y) -> FitResult:
     )
 
 
-@dataclasses.dataclass
-class ErrorTable:
-    """Rows (epsilon, t, l2_error, relative_error, center_offset, Theta) plus per-time fits."""
-
-    rows: list
-    fits: dict
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r[0], r[1]))
-
-    def errors_at(self, t, tol=1e-9):
-        rows = [r for r in self.sorted_rows() if abs(r[1] - t) <= tol]
-        return np.array([r[0] for r in rows]), np.array([r[3] for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # the run skeleton: inputs, one evolution, outputs
 # ---------------------------------------------------------------------------
@@ -133,6 +118,18 @@ def _wall_and_profile(cfg: ExperimentConfig, wall=None):
         return wall, make_profile(cfg.get("init.profile"), cfg.get("init.profile_params"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+_DEGENERATE = (TransversalityError, ProjectionError, SingularPointError)  # raised at degenerate interface points
+
+
+@contextlib.contextmanager
+def _degenerate_is_config_error():
+    """A start point or trajectory that meets a degenerate interface point is a config error."""
+    try:
+        yield
+    except _DEGENERATE as exc:
+        raise ConfigError(f"degenerate interface point: {exc}") from exc
 
 
 @dataclasses.dataclass
@@ -188,10 +185,10 @@ def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=Fal
     The evolution step follows the dt rule, adjusted to divide t_end; the
     trajectory step divides it and sits near 1e-3 arclength.  With
     ``truncate`` a degenerate interface point halves the trajectory span until
-    it integrates, instead of failing the run.
+    it integrates; a start point on one, or a trajectory that meets one
+    otherwise, is a config error.
     """
     wall, profile = _wall_and_profile(cfg, wall)
-    y0 = project_to_interface(wall, cfg.y0()) if y0 is None else y0
     dt_evol = parse_dt_rule(cfg.get("evolve.dt_rule"), eps)
     dt_evol = t_end / max(1, int(round(t_end / dt_evol)))
     try:
@@ -204,14 +201,16 @@ def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=Fal
         target = min(1e-3 * max(t_end, 1.0), dt_evol)
     dt_traj = dt_evol / max(1, int(round(dt_evol / target)))
     span = t_end
-    while True:
-        try:
-            traj = integrate_trajectory(wall, y0, round(span / dt_traj) * dt_traj, dt_traj)
-            break
-        except (TransversalityError, ProjectionError):
-            span /= 2.0
-            if not truncate or round(span / dt_traj) < 2:
-                raise
+    with _degenerate_is_config_error():
+        y0 = project_to_interface(wall, cfg.y0()) if y0 is None else y0
+        while True:
+            try:
+                traj = integrate_trajectory(wall, y0, round(span / dt_traj) * dt_traj, dt_traj)
+                break
+            except _DEGENERATE:
+                span /= 2.0
+                if not truncate or round(span / dt_traj) < 2:
+                    raise
     return _Run(cfg, eps, t_end, ec, dt_traj, traj, _grid_for(cfg, traj, eps), profile)
 
 
@@ -315,8 +314,12 @@ def run_evolve(cfg: ExperimentConfig, out_dir):
     return {"norm_drift": result.norm_drift, "rows": rows, "trajectory_truncated": truncated}
 
 
-def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
-    """Evolve ansatz data per epsilon; tabulate errors against the order-0 ansatz."""
+def run_scaling(cfg: ExperimentConfig, out_dir):
+    """Evolve ansatz data per epsilon; tabulate errors against the order-0 ansatz.
+
+    Returns the rows (epsilon, t, l2_error, relative_error, center_offset, Theta), sorted by
+    epsilon and t, and the fit at each time.
+    """
     eps_list = sorted(cfg.get("scaling.epsilons"), reverse=True)
     if len(eps_list) >= 3 and max(eps_list) / min(eps_list) < 4.0:
         raise ConfigError("scaling.epsilons should span at least a factor 4")
@@ -344,14 +347,13 @@ def run_scaling(cfg: ExperimentConfig, out_dir) -> ErrorTable:
             fits[t] = fit_loglog([r[0] for r in at_t], [r[3] for r in at_t])
     if not fits:
         raise ConfigError("scaling fit degenerate: fewer than 3 valid rows at every sample time")
-    table = ErrorTable(rows=rows, fits=fits)
+    rows.sort(key=lambda r: (r[0], r[1]))
     _write_outputs(out_dir, cfg, {
-        "errors.csv": (["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"],
-                       table.sorted_rows()),
+        "errors.csv": (["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"], rows),
         "fits.csv": (["t", "slope", "intercept", "stderr", "ci_low", "ci_high", "n"],
                      [[t, *dataclasses.astuple(f)] for t, f in sorted(fits.items())]),
     }, _wall_check_lines(run.traj) + meta + [f"max norm drift = {drift!r}"])
-    return table
+    return {"rows": rows, "fits": fits}
 
 
 def run_berry(cfg: ExperimentConfig, out_dir):
@@ -460,12 +462,12 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     times = sorted(cfg.get("hierarchy.times"))
     fd_dt = cfg.get("hierarchy.fd_dt")
     wall, profile = _wall_and_profile(cfg)
-    y0 = project_to_interface(wall, cfg.y0())
-
     t_max = times[-1] + 2.0 * fd_dt
     dt_traj = fd_dt / max(1, round(fd_dt / (1e-3 * max(1.0, t_max))))
     n = int(np.ceil(t_max / dt_traj))
-    traj = integrate_trajectory(wall, y0, n * dt_traj, dt_traj)
+    with _degenerate_is_config_error():
+        y0 = project_to_interface(wall, cfg.y0())
+        traj = integrate_trajectory(wall, y0, n * dt_traj, dt_traj)
 
     solver = CorrectorSolver(profile, traj) if max(orders) > 0 else None
     found = {}
@@ -593,14 +595,14 @@ def run_check_suite():
                    f"{stepper.last_iterations} fixed-point iterations, residual = {resid:.2e}"))
 
     # lab-grid sampling: separable phase-table products against a per-point sum
-    ctx = hierarchy.FrameContext(0.0, 0.7, 0.0, 1.6, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    theta, r = 0.7, 1.6
     y, eps, g64 = np.array([0.3, -0.2]), 0.02, Grid2D(n1=64, n2=64, l1=1.5, l2=1.5)
-    got = hierarchy.sample_hermite_amplitude(a, ctx, y, eps, g64.x1, g64.x2).reshape(2, -1)
-    z = (np.stack(g64.mesh()) - y[:, None, None]).reshape(2, -1) * np.sqrt(ctx.r / eps)
-    u, v = rotated_coords(ctx.theta, *z)
+    got = hierarchy.sample_hermite_amplitude(a, theta, r, y, eps, g64.x1, g64.x2).reshape(2, -1)
+    z = (np.stack(g64.mesh()) - y[:, None, None]).reshape(2, -1) * np.sqrt(r / eps)
+    u, v = rotated_coords(theta, *z)
     x1_vals = hermite.eval_on_points(a.coeffs.transpose(1, 0, 2).reshape(grid.n, -1), grid, u)
     tilde = np.einsum("pcn,pn->cp", x1_vals.reshape(u.size, 2, nh), hermite.hermite_functions(nh, v))
-    direct = np.exp(0.5j * ctx.theta * np.array([[-1.0], [1.0]])) * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
+    direct = np.exp(0.5j * theta * np.array([[-1.0], [1.0]])) * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
     err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
     checks.append(("separable sampling", err <= 1e-12, f"rel err = {err:.2e} on 64^2"))
 
@@ -616,13 +618,13 @@ def run_check_suite():
     traj = integrate_trajectory(circ, np.array([1.0, 0.0]), 0.5, 1e-3)
     solver = CorrectorSolver(GaussianProfile(), traj, grid=hermite.X1Grid(128, 12.0))
     i = traj.index_at(0.5)
-    f1 = solver.f1_values(i)
+    f1 = solver.f1[i]
     expected = 0.5 * (2 * grid.x - grid.x**3) * np.exp(-0.5 * grid.x**2) * traj.Theta[i]
     err = np.max(np.abs(f1 - expected)) / np.max(np.abs(expected))
     checks.append(("circle corrector golden", err <= 1e-6, f"rel err = {err:.2e}"))
 
     # canonical Taylor polynomials of random frames against the lab ones at y = R_theta^T x / sqrt(r)
-    fr = hierarchy.FrameContext(0.0, rng.uniform(-np.pi, np.pi, 4), 0.0, rng.uniform(0.3, 3.0, 4), 0.0,
+    fr = hierarchy.FrameContext(rng.uniform(-np.pi, np.pi, 4), 0.0, rng.uniform(0.3, 3.0, 4), 0.0,
                                 rng.standard_normal((4, 2, 2)), rng.standard_normal((4, 2, 2, 2)))
     x1, x2 = rng.standard_normal((2, 4, 8))  # 8 points per frame
     y = np.stack(rotated_coords(-fr.theta[:, None], x1, x2), -1) / np.sqrt(fr.r)[:, None, None]

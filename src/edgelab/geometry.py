@@ -17,7 +17,6 @@ import numpy as np
 from .walls import DomainWall, TransversalityError
 
 __all__ = [
-    "TrajectorySample",
     "Trajectory",
     "ProjectionError",
     "project_to_interface",
@@ -28,17 +27,6 @@ __all__ = [
 
 class ProjectionError(RuntimeError):
     """Raised when Newton projection onto Gamma fails to converge."""
-
-
-@dataclasses.dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    y: np.ndarray  # (2,)
-    theta: float
-    r: float
-    theta_dot: float
-    r_dot: float
-    Theta: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,17 +45,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def sample(self, i) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(self.t[i]),
-            y=self.y[i].copy(),
-            theta=float(self.theta[i]),
-            r=float(self.r[i]),
-            theta_dot=float(self.theta_dot[i]),
-            r_dot=float(self.r_dot[i]),
-            Theta=float(self.Theta[i]),
-        )
 
     def index_at(self, time, tol=1e-9):
         """Index of the sample at ``time``; the time must sit on the sample grid."""

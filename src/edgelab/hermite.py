@@ -25,6 +25,7 @@ d, so the hierarchy derives its band count from the polynomial degrees
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -125,16 +126,10 @@ def hermite_functions(n_max, x):
 
 # -- ladder / derivative primitives on coefficient arrays --------------------
 
-_WEIGHT_CACHE = {}
-
-
+@functools.cache
 def _weights(n_bands):
     """sqrt(2n+2) for n = 0..n_bands-2 (the ladder shift weights)."""
-    w = _WEIGHT_CACHE.get(n_bands)
-    if w is None:
-        w = np.sqrt(2.0 * np.arange(n_bands - 1) + 2.0)
-        _WEIGHT_CACHE[n_bands] = w
-    return w
+    return np.sqrt(2.0 * np.arange(n_bands - 1) + 2.0)
 
 
 def _raise_op(c):
@@ -153,15 +148,11 @@ def _lower_op(c):
     return out
 
 
-_LADDER_CACHE = {}
-
-
+@functools.cache
 def _ladder_matrices(n_bands):
     """Real tridiagonal (X, D) with c @ X = (adag + a)/2 c and c @ D = (a - adag)/2 c."""
-    if n_bands not in _LADDER_CACHE:
-        up = np.diag(0.5 * _weights(n_bands), 1)  # adag/2: row n (from band n) -> column n+1
-        _LADDER_CACHE[n_bands] = (up + up.T, up.T - up)
-    return _LADDER_CACHE[n_bands]
+    up = np.diag(0.5 * _weights(n_bands), 1)  # adag/2: row n (from band n) -> column n+1
+    return up + up.T, up.T - up
 
 
 def x2_mult(c):
@@ -235,7 +226,7 @@ def invert_L(a, grid=None):
     ah = np.fft.fft(src, axis=-2)
     out = np.zeros_like(ah)
     xi = grid.k
-    s = np.sqrt(2.0 * np.arange(c.shape[-1] - 1) + 2.0)
+    s = _weights(c.shape[-1])
     w1 = ah[..., 0, :, 1:]  # pairs with band n of the second component
     w2 = ah[..., 1, :, :-1]
     out[..., 0, :, 1:] = (-2.0 * xi[:, None] * w1 + s * w2) / (s * s)

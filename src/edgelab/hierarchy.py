@@ -40,7 +40,6 @@ from .straight import edge_spinor, rotated_coords
 
 __all__ = [
     "FrameContext",
-    "frame_context",
     "CorrectorSolver",
     "assemble_ansatz",
     "sample_order0",
@@ -77,21 +76,12 @@ class FrameContext:
     """Frame and wall Taylor data at one trajectory sample, or over a block of B samples,
     where each field gains a leading sample axis: (B,), (B, 2, 2) and (B, 2, 2, 2)."""
 
-    t: float
     theta: float
     theta_dot: float
     r: float
     r_dot: float
     hessian: np.ndarray  # (2, 2) at y_t
     third: np.ndarray  # (2, 2, 2) at y_t
-
-
-def frame_context(traj, i) -> FrameContext:
-    s = traj.sample(i)
-    return FrameContext(
-        t=s.t, theta=s.theta, theta_dot=s.theta_dot, r=s.r, r_dot=s.r_dot,
-        hessian=np.asarray(traj.wall.hessian(s.y)), third=np.asarray(traj.wall.third(s.y)),
-    )
 
 
 # -- canonical-frame operator actions -----------------------------------------
@@ -256,6 +246,7 @@ class CorrectorSolver:
                               f"exceeds {SOLVABILITY_TOL:g}: the profile's derivative disagrees with "
                               "its values, or the profile is wider than the x1 window (errors in the "
                               "wall Hessian, theta_dot or r_dot do not show here)")
+        # f1 at each sample, in the profile variable, on the x1 grid
         self.f1 = np.zeros((n, grid.n), dtype=complex)
         if n > 1:
             np.cumsum(0.5 * dt * (self.dtf1[1:] + self.dtf1[:-1]), axis=0, out=self.f1[1:])
@@ -266,13 +257,10 @@ class CorrectorSolver:
 
     # -- per-block pieces
 
-    def context(self, i) -> FrameContext:
-        return frame_context(self.traj, i)
-
     def _frames(self, lo, hi) -> FrameContext:
         """FrameContext of samples lo..hi-1, taken from the trajectory fields."""
         tr, s = self.traj, slice(lo, hi)
-        return FrameContext(t=tr.t[s], theta=tr.theta[s], theta_dot=tr.theta_dot[s], r=tr.r[s],
+        return FrameContext(theta=tr.theta[s], theta_dot=tr.theta_dot[s], r=tr.r[s],
                             r_dot=tr.r_dot[s], hessian=self._H[s], third=self._T[s])
 
     def _b1_block(self, lo, hi, solv_out=None):
@@ -317,10 +305,6 @@ class CorrectorSolver:
     def b1(self, i) -> HermiteAmplitude:
         return self._b1(i)
 
-    def f1_values(self, i):
-        """f1 at sample i, in the profile variable, on the x1 grid."""
-        return self.f1[i]
-
     def b2(self, i) -> HermiteAmplitude:
         """Second corrector: one more inversion of beta1 - T1 (kernel f1 state)."""
         return self._b2(i)
@@ -356,30 +340,30 @@ def _frame_coords(theta, y, eps, x1, x2):
     return ua, ub, va, vb
 
 
-def _kernel_packet(f_u, ctx: FrameContext, v, eps):
+def _kernel_packet(f_u, theta, r, v, eps):
     """eps^{-1/2} r^{1/4} f(u) e^{-r v^2/2} times the edge spinor."""
-    scalar = ctx.r**0.25 * f_u * np.exp(-0.5 * ctx.r * v * v) / np.sqrt(eps)
-    return scalar[None, ...] * edge_spinor(ctx.theta)[:, None, None]
+    scalar = r**0.25 * f_u * np.exp(-0.5 * r * v * v) / np.sqrt(eps)
+    return scalar[None, ...] * edge_spinor(theta)[:, None, None]
 
 
-def sample_order0(profile, ctx: FrameContext, y, eps, x1, x2):
+def sample_order0(profile, theta, r, y, eps, x1, x2):
     """Kernel wavepacket eps^{-1/2} K_t(profile) on the lab mesh of axes x1, x2: (2, len(x1), len(x2)).
     ``profile`` is any callable of the profile variable, evaluated at every mesh point."""
-    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
-    return _kernel_packet(profile(np.add.outer(ua, ub)), ctx, np.add.outer(va, vb), eps)
+    ua, ub, va, vb = _frame_coords(theta, y, eps, x1, x2)
+    return _kernel_packet(profile(np.add.outer(ua, ub)), theta, r, np.add.outer(va, vb), eps)
 
 
-def sample_kernel_profile(values, grid: X1Grid, ctx: FrameContext, y, eps, x1, x2):
+def sample_kernel_profile(values, grid: X1Grid, theta, r, y, eps, x1, x2):
     """sample_order0 for a profile sampled on ``grid`` (such as f1), interpolated separably as in
     sample_hermite_amplitude; points with |u| >= grid.half_extent are exactly zero."""
-    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
+    ua, ub, va, vb = _frame_coords(theta, y, eps, x1, x2)
     vh = np.fft.fft(np.asarray(values, dtype=complex))
     f_u = hermite.trig_interp_matrix(grid, ua) @ (vh[:, None] * hermite.mode_phases(grid, ub))
     f_u[np.abs(np.add.outer(ua, ub)) >= grid.half_extent] = 0.0
-    return _kernel_packet(f_u, ctx, np.add.outer(va, vb), eps)
+    return _kernel_packet(f_u, theta, r, np.add.outer(va, vb), eps)
 
 
-def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, x1, x2):
+def sample_hermite_amplitude(amp: HermiteAmplitude, theta, r, y, eps, x1, x2):
     """Sample a canonical amplitude at sqrt(r) (u, v) on the lab mesh of axes x1, x2: (2, len(x1), len(x2)).
 
     On a lab mesh u = ua + ub, so the x1 interpolation phase factors, e^{iku}
@@ -389,13 +373,13 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, x
     time against the oscillator-function recurrence in v.  Points outside the
     canonical window, |sqrt(r) u| >= the x1 half-extent, are exactly zero.
     """
-    ua, ub, va, vb = _frame_coords(ctx.theta, y, eps, x1, x2)
-    sr = np.sqrt(ctx.r)
+    ua, ub, va, vb = _frame_coords(theta, y, eps, x1, x2)
+    sr = np.sqrt(r)
     band_norms = np.sqrt(np.sum(np.abs(amp.coeffs) ** 2, axis=(0, 1)))
     keep = np.nonzero(band_norms > 1e-14 * np.linalg.norm(band_norms))[0]
     nh_eff = int(keep[-1]) + 1 if keep.size else 1
     # lab spinor components: undo the tilde conjugation, then the frame phases
-    mix = np.exp(0.5j * ctx.theta * np.array([[-1.0], [1.0]])) * hermite._UNTILDE / np.sqrt(eps)
+    mix = np.exp(0.5j * theta * np.array([[-1.0], [1.0]])) * hermite._UNTILDE / np.sqrt(eps)
     vh = np.einsum("dc,cmn->dmn", mix, np.fft.fft(amp.coeffs[:, :, :nh_eff], axis=1))
     P = hermite.trig_interp_matrix(amp.grid, sr * ua)
     Q = hermite.mode_phases(amp.grid, sr * ub)
@@ -417,15 +401,15 @@ def sample_hermite_amplitude(amp: HermiteAmplitude, ctx: FrameContext, y, eps, x
 def _ansatz_fields(order, profile, traj, i, grid2d, eps, solver):
     """[W_0, ..., W_order] at trajectory sample i, each term sampled once and summed left to
     right: W_1 = W_0 + sqrt(eps) b1 + sqrt(eps) K f1, W_2 = W_1 + eps b2."""
-    ctx = solver.context(i) if solver is not None else frame_context(traj, i)
-    lab = (traj.y[i], eps, grid2d.x1, grid2d.x2)
-    fields = [sample_order0(profile, ctx, *lab)]
+    # theta and r as Python floats: numpy's pow rounds some r**0.25 differently (see _leading)
+    lab = (float(traj.theta[i]), float(traj.r[i]), traj.y[i], eps, grid2d.x1, grid2d.x2)
+    fields = [sample_order0(profile, *lab)]
     if order >= 1:
-        b1 = sample_hermite_amplitude(solver.b1(i), ctx, *lab)
-        kf1 = sample_kernel_profile(solver.f1_values(i), solver.grid, ctx, *lab)
+        b1 = sample_hermite_amplitude(solver.b1(i), *lab)
+        kf1 = sample_kernel_profile(solver.f1[i], solver.grid, *lab)
         fields.append(fields[0] + np.sqrt(eps) * b1 + np.sqrt(eps) * kf1)
     if order >= 2:
-        fields.append(fields[1] + eps * sample_hermite_amplitude(solver.b2(i), ctx, *lab))
+        fields.append(fields[1] + eps * sample_hermite_amplitude(solver.b2(i), *lab))
     return fields
 
 

@@ -1,9 +1,8 @@
 """Longitudinal profile family for edge-state ansatz construction.
 
 Profiles are smooth rapidly decaying functions of one variable.  The family
-is restricted to shapes with closed-form derivatives and (where needed by
-tests) closed-form Fourier transforms: Gaussians, Hermite functions times a
-Gaussian, and a compactly supported bump.
+is restricted to shapes with closed-form derivatives: Gaussians, Hermite
+functions times a Gaussian, and a compactly supported bump.
 """
 
 from __future__ import annotations
@@ -50,15 +49,6 @@ class GaussianProfile(Profile):
         u = (np.asarray(s, dtype=float) - self.center) / self.sigma
         return -u / self.sigma * np.exp(-0.5 * u * u)
 
-    def fourier(self, k):
-        """hat f(k) = int e^{-iks} f(s) ds."""
-        k = np.asarray(k, dtype=float)
-        return (
-            np.sqrt(2.0 * np.pi) * self.sigma
-            * np.exp(-0.5 * (self.sigma * k) ** 2)
-            * np.exp(-1j * k * self.center)
-        )
-
 
 class HermiteProfile(Profile):
     """H_n(s / sigma) exp(-s^2 / (2 sigma^2)) with the physicists' Hermite polynomial."""
@@ -102,16 +92,12 @@ class BumpProfile(Profile):
         self.params = (self.width,)
 
     def __call__(self, s):
-        u = np.asarray(s, dtype=float) / self.width
+        u = np.atleast_1d(np.asarray(s, dtype=float)) / self.width
         out = np.zeros_like(u)
         inside = np.abs(u) < 1.0
-        ui = u[inside] if u.ndim else (u if inside else None)
-        if u.ndim == 0:
-            if inside:
-                return np.exp(1.0 - 1.0 / (1.0 - u * u))
-            return 0.0
+        ui = u[inside]
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-        return out
+        return out[0] if np.ndim(s) == 0 else out
 
     def derivative(self, s):
         u = np.atleast_1d(np.asarray(s, dtype=float)) / self.width
@@ -120,9 +106,7 @@ class BumpProfile(Profile):
         ui = u[inside]
         d = 1.0 - ui * ui
         out[inside] = np.exp(1.0 - 1.0 / d) * (-2.0 * ui / d**2) / self.width
-        if np.asarray(s).ndim == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(s) == 0 else out
 
 
 def make_profile(kind, params=()) -> Profile:

@@ -213,7 +213,7 @@ def test_criterion_4_lemma_closed_forms():
         rest = b1.coeffs.copy()
         rest[0, :, 1] = 0.0
         worst_b1 = max(worst_b1, (err + np.max(np.abs(rest))) / scale)
-        f1 = solver.f1_values(i)
+        f1 = solver.f1[i]
         expected_f1 = 0.5 * (2.0 * x - x**3) * np.exp(-0.5 * x**2) * traj.Theta[i]
         worst_f1 = max(worst_f1, np.max(np.abs(f1 - expected_f1)) / np.max(np.abs(expected_f1)))
     ok = worst_b1 <= 1e-6 and worst_f1 <= 1e-6

@@ -139,11 +139,12 @@ init.y0 = 0.0, 0.0
 def test_run_scaling_table(tmp_path):
     out = tmp_path / "scaling"
     table = run_experiment(cfg_from(SCALING_CFG), str(out))
-    eps, errs = table.errors_at(0.25)
+    at_t = [r for r in table["rows"] if abs(r[1] - 0.25) <= 1e-9]
+    eps, errs = np.array([r[0] for r in at_t]), np.array([r[3] for r in at_t])
     assert len(eps) == 3
     assert np.all(np.diff(eps) > 0)
     assert np.all(errs > 0) and np.all(errs < 1.0)
-    assert 0.25 in table.fits
+    assert 0.25 in table["fits"]
     rows = read_rows(out / "errors.csv")
     assert rows[0] == ["epsilon", "t", "l2_error", "relative_error", "center_offset", "Theta"]
     fits = read_rows(out / "fits.csv")
@@ -287,10 +288,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
     # values that Grid2D, check_resolution, EvolutionConfig, the wall or the profile reject are
-    # config errors too
+    # config errors too, and so is a start point or trajectory that meets a degenerate interface point
     for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["wall.family=nope"],
                       ["init.profile=nope"], ["init.profile_params=-1"], ["init.profile_params=1,2,3"],
-                      ["wall.family=corner", "wall.params=0.5,7"], ["experiment.kind=berry", "berry.radii=-1"]):
+                      ["wall.family=corner", "wall.params=0.5,7"], ["experiment.kind=berry", "berry.radii=-1"],
+                      ["wall.family=crossing"], ["wall.family=circle", "wall.params=1"],
+                      ["experiment.kind=dispersion_probe", "wall.family=crossing", "wall.params=", "init.y0=0.1,0",
+                       "probe.fit_t_min=0.05", "probe.sup_samples=5"]):
         assert cli_main(["run", str(cfg_path), "--out", str(out),
                          *(arg for o in overrides for arg in ("--override", o))]) == 2
         assert "config error" in capsys.readouterr().err

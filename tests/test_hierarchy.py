@@ -12,7 +12,6 @@ from edgelab.hierarchy import (
     FrameContext,
     ansatz_residual,
     assemble_ansatz,
-    frame_context,
     sample_hermite_amplitude,
     sample_kernel_profile,
     sample_order0,
@@ -40,40 +39,30 @@ def tanh_solver():
 def test_leading_amplitude_trivial_samples():
     wall = straight_wall(0.0, 1.0)
     traj = integrate_trajectory(wall, np.array([0.0, 0.0]), 0.01, 1e-2)
-    ctx = frame_context(traj, 0)
-    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0, np.array([0.0]), np.array([0.0, 1.0]))
+    vals = sample_order0(GaussianProfile(), traj.theta[0], traj.r[0], np.zeros(2), 1.0,
+                         np.array([0.0]), np.array([0.0, 1.0]))
     assert np.allclose(vals[:, 0, 0], [1.0, -1.0])
     assert np.allclose(vals[:, 0, 1], np.exp(-0.5) * np.array([1.0, -1.0]))
 
 
 def test_leading_amplitude_spinor_at_theta_pi():
     # direct substitution: (e^{-i pi/2}, -e^{i pi/2}) = (-i, -i)
-    from edgelab.hierarchy import FrameContext
-
-    ctx = FrameContext(t=0.0, theta=np.pi, theta_dot=0.0, r=1.0, r_dot=0.0,
-                       hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-    vals = sample_order0(GaussianProfile(), ctx, np.zeros(2), 1.0, np.zeros(1), np.zeros(1))
+    vals = sample_order0(GaussianProfile(), np.pi, 1.0, np.zeros(2), 1.0, np.zeros(1), np.zeros(1))
     assert np.allclose(vals[:, 0, 0], [-1j, -1j])
 
 
 def test_leading_amplitude_r_scaling():
     # r = 4: transverse width halves, norm of K_t f is r-independent (2 sqrt(pi) |f|^2)
-    from edgelab.hierarchy import FrameContext
-
     prof = GaussianProfile()
     grid = Grid2D(512, 512, 10.0, 10.0)
     norms = {}
     for r in (1.0, 4.0):
-        ctx = FrameContext(t=0.0, theta=0.0, theta_dot=0.0, r=r, r_dot=0.0,
-                           hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-        vals = sample_order0(prof, ctx, np.zeros(2), 1.0, grid.x1, grid.x2)
+        vals = sample_order0(prof, 0.0, r, np.zeros(2), 1.0, grid.x1, grid.x2)
         norms[r] = np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dA)
     assert norms[4.0] == pytest.approx(norms[1.0], rel=1e-10)
     expected = np.sqrt(2.0 * np.sqrt(np.pi) * np.sqrt(np.pi))  # |f|_2^2 = sqrt(pi)
     assert norms[1.0] == pytest.approx(expected, rel=1e-8)
-    ctx4 = FrameContext(t=0.0, theta=0.0, theta_dot=0.0, r=4.0, r_dot=0.0,
-                        hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
-    v = sample_order0(prof, ctx4, np.zeros(2), 1.0, np.array([0.0]), np.array([0.5]))
+    v = sample_order0(prof, 0.0, 4.0, np.zeros(2), 1.0, np.array([0.0]), np.array([0.5]))
     assert v[0, 0, 0] == pytest.approx(4.0**0.25 * np.exp(-4.0 * 0.25 / 2.0), rel=1e-12)
 
 
@@ -82,7 +71,7 @@ def test_straight_wall_correctors_vanish():
     traj = integrate_trajectory(wall, np.array([0.0, 0.0]), 0.1, 1e-3)
     solver = CorrectorSolver(GaussianProfile(), traj)
     i = traj.index_at(0.1)
-    b1, f1 = solver.b1(i), solver.f1_values(i)
+    b1, f1 = solver.b1(i), solver.f1[i]
     assert b1.norm() <= 1e-12
     assert np.max(np.abs(f1)) <= 1e-12
 
@@ -104,7 +93,7 @@ def test_circle_corrector_matches_closed_forms(circle_solver):
     rest = b1.coeffs.copy()
     rest[0, :, 1] = 0.0
     assert np.max(np.abs(rest)) <= 1e-10
-    f1 = solver.f1_values(i)
+    f1 = solver.f1[i]
     expected_f1 = 0.5 * (2.0 * x - x**3) * np.exp(-0.5 * x**2) * traj.Theta[i]
     assert np.max(np.abs(f1 - expected_f1)) <= 1e-6 * np.max(np.abs(expected_f1))
 
@@ -113,12 +102,12 @@ def test_circle_b1_lab_value(circle_solver):
     # lab-frame value at the frame point (0, 1): (1/2) e^{-1/2} theta_dot spinor
     solver, traj = circle_solver
     i = traj.index_at(0.5)
-    ctx = solver.context(i)
-    c, s = np.cos(ctx.theta), np.sin(ctx.theta)
+    theta = traj.theta[i]
+    c, s = np.cos(theta), np.sin(theta)
     z = np.array([[c * 0.0 - s * 1.0], [s * 0.0 + c * 1.0]])  # R^T (0,1)
-    vals = sample_hermite_amplitude(solver.b1(i), ctx, np.zeros(2), 1.0, z[0], z[1])
-    spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
-    expected = 0.5 * np.exp(-0.5) * ctx.theta_dot * spinor
+    vals = sample_hermite_amplitude(solver.b1(i), theta, traj.r[i], np.zeros(2), 1.0, z[0], z[1])
+    spinor = np.array([np.exp(-0.5j * theta), -np.exp(0.5j * theta)])
+    expected = 0.5 * np.exp(-0.5) * traj.theta_dot[i] * spinor
     assert np.max(np.abs(vals[:, 0, 0] - expected)) <= 1e-6
     assert abs(expected[0]) == pytest.approx(0.30327, abs=1e-5)
 
@@ -126,7 +115,7 @@ def test_circle_b1_lab_value(circle_solver):
 def test_f1_interpolated_spot_value(circle_solver):
     solver, traj = circle_solver
     i = traj.index_at(1.0)
-    val = hermite.eval_on_points(solver.f1_values(i), solver.grid, np.array([1.0]))[0]
+    val = hermite.eval_on_points(solver.f1[i], solver.grid, np.array([1.0]))[0]
     assert val.real == pytest.approx(0.5 * np.exp(-0.5) * traj.Theta[i], abs=1e-6)
     assert abs(val.imag) <= 1e-8
 
@@ -136,7 +125,6 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     # operators spectrally; T0 a1 + T1 a0 must vanish to discretization error
     solver, traj = tanh_solver
     i = traj.index_at(0.1)
-    ctx = solver.context(i)
     grid = Grid2D(256, 256, 12.0, 12.0)
     X1, X2 = grid.mesh()
     y0 = np.zeros(2)
@@ -151,7 +139,7 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     g = wall.gradient(traj.y[i])
     H = wall.hessian(traj.y[i])
     mass = g[0] * X1 + g[1] * X2
-    c, s = np.cos(ctx.theta), np.sin(ctx.theta)
+    c, s = np.cos(traj.theta[i]), np.sin(traj.theta[i])
 
     def T0(a):
         out = np.empty_like(a)
@@ -162,12 +150,12 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
         return out
 
     def samp_a0(j):
-        return sample_order0(GaussianProfile(), solver.context(j), y0, 1.0, grid.x1, grid.x2)
+        return sample_order0(GaussianProfile(), traj.theta[j], traj.r[j], y0, 1.0, grid.x1, grid.x2)
 
     def samp_a1(j):
-        cj = solver.context(j)
-        out = sample_hermite_amplitude(solver.b1(j), cj, y0, 1.0, grid.x1, grid.x2)
-        return out + sample_kernel_profile(solver.f1_values(j), solver.grid, cj, y0, 1.0, grid.x1, grid.x2)
+        frame = (traj.theta[j], traj.r[j], y0, 1.0, grid.x1, grid.x2)
+        out = sample_hermite_amplitude(solver.b1(j), *frame)
+        return out + sample_kernel_profile(solver.f1[j], solver.grid, *frame)
 
     a0 = samp_a0(i)
     a1 = samp_a1(i)
@@ -179,8 +167,8 @@ def test_corrector_equation_in_lab_frame(tanh_solver):
     nrm = lambda f: np.sqrt(np.sum(np.abs(f) ** 2) * grid.dA)
     assert nrm(T0(a1) + t1a0) <= 2e-4 * nrm(t1a0)  # limited by the FD time derivative
     # the kernel part K f1 lies in the nullspace of T0
-    f1 = solver.f1_values(i)
-    kf1 = sample_kernel_profile(f1, solver.grid, ctx, y0, 1.0, grid.x1, grid.x2)
+    f1 = solver.f1[i]
+    kf1 = sample_kernel_profile(f1, solver.grid, traj.theta[i], traj.r[i], y0, 1.0, grid.x1, grid.x2)
     assert nrm(T0(kf1)) <= 1e-8 * max(nrm(kf1), 1e-300)
 
 
@@ -202,18 +190,18 @@ def test_order1_matches_order0_plus_closed_forms(circle_solver):
     grid = Grid2D(128, 128, 3.0, 3.0)
     t = 0.5
     i = traj.index_at(t)
-    ctx = solver.context(i)
+    theta = traj.theta[i]
     w0 = assemble_ansatz(0, GaussianProfile(), traj, t, grid, eps, solver)
     w1 = assemble_ansatz(1, GaussianProfile(), traj, t, grid, eps, solver)
     X1, X2 = grid.mesh()
     z1 = (X1 - traj.y[i][0]) / np.sqrt(eps)
     z2 = (X2 - traj.y[i][1]) / np.sqrt(eps)
-    c, s = np.cos(ctx.theta), np.sin(ctx.theta)
+    c, s = np.cos(theta), np.sin(theta)
     u = c * z1 + s * z2
     v = -s * z1 + c * z2
-    spinor = np.array([np.exp(-0.5j * ctx.theta), -np.exp(0.5j * ctx.theta)])
+    spinor = np.array([np.exp(-0.5j * theta), -np.exp(0.5j * theta)])
     gauss = np.exp(-0.5 * (u**2 + v**2))
-    b1 = 0.5 * (1.0 - u**2) * v * gauss * ctx.theta_dot
+    b1 = 0.5 * (1.0 - u**2) * v * gauss * traj.theta_dot[i]
     f1 = 0.5 * (2.0 * u - u**3) * np.exp(-0.5 * u**2) * traj.Theta[i]
     kf1 = f1 * np.exp(-0.5 * v**2)
     corr = (b1 + kf1)[None] * spinor[:, None, None] / np.sqrt(eps)
@@ -266,18 +254,17 @@ def test_sample_hermite_amplitude_tube_mask_and_direct_sum():
     amp = hermite.HermiteAmplitude.zeros(grid, hierarchy.N_BANDS)
     amp.coeffs[:, :, :7] = rng.standard_normal((2, 64, 7)) + 1j * rng.standard_normal((2, 64, 7))
     amp.coeffs *= np.exp(-0.5 * (grid.x / 1.5) ** 2)[None, :, None]
-    ctx = hierarchy.FrameContext(t=0.0, theta=0.7, theta_dot=0.0, r=1.6, r_dot=0.0,
-                                 hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)))
+    theta, r = 0.7, 1.6
     eps, y = 0.1, np.array([0.3, -0.2])
     for lab in (Grid2D(32, 32, 3.0, 3.0), Grid2D(32, 64, 3.0, 2.5)):
-        got = sample_hermite_amplitude(amp, ctx, y, eps, lab.x1, lab.x2)
+        got = sample_hermite_amplitude(amp, theta, r, y, eps, lab.x1, lab.x2)
         assert got.shape == (2, lab.n1, lab.n2)
         got = got.reshape(2, -1)
         # canonical coordinates sqrt(r) R_theta (x - y)/sqrt(eps) at every mesh point
         X1, X2 = lab.mesh()
         z1, z2 = (X1.ravel() - y[0]) / np.sqrt(eps), (X2.ravel() - y[1]) / np.sqrt(eps)
-        c, s = np.cos(ctx.theta), np.sin(ctx.theta)
-        u, v = np.sqrt(ctx.r) * (c * z1 + s * z2), np.sqrt(ctx.r) * (-s * z1 + c * z2)
+        c, s = np.cos(theta), np.sin(theta)
+        u, v = np.sqrt(r) * (c * z1 + s * z2), np.sqrt(r) * (-s * z1 + c * z2)
         outside = np.abs(u) >= grid.half_extent
         assert 100 < np.count_nonzero(outside) < u.size - 100
         assert np.all(got[:, outside] == 0.0)
@@ -285,7 +272,7 @@ def test_sample_hermite_amplitude_tube_mask_and_direct_sum():
         fourier = np.exp(1j * np.outer(ui + grid.half_extent, grid.k)) / grid.n
         tilde = np.einsum("pm,cmn,pn->cp", fourier, sfft.fft(amp.coeffs, axis=1),
                           hermite.hermite_functions(amp.n_hermite, vi))
-        phase = np.array([np.exp(-0.5j * ctx.theta), np.exp(0.5j * ctx.theta)])
+        phase = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
         direct = phase[:, None] * (hermite._UNTILDE @ tilde) / np.sqrt(eps)
         assert np.max(np.abs(got[:, ~outside] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -295,11 +282,11 @@ def test_sample_kernel_profile_matches_pointwise_interpolant(circle_solver):
     # with exact zeros where the profile variable leaves the x1 window
     solver, traj = circle_solver
     i = traj.index_at(0.5)
-    ctx, f1 = solver.context(i), solver.f1_values(i)
+    theta, r, f1 = traj.theta[i], traj.r[i], solver.f1[i]
     lab = Grid2D(64, 32, 2.0, 1.5)
     y = traj.y[i] + np.array([0.8, 0.0])
-    got = sample_kernel_profile(f1, solver.grid, ctx, y, 0.01, lab.x1, lab.x2)
-    ref = sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), ctx, y, 0.01, lab.x1, lab.x2)
+    got = sample_kernel_profile(f1, solver.grid, theta, r, y, 0.01, lab.x1, lab.x2)
+    ref = sample_order0(lambda u: hermite.eval_on_points(f1, solver.grid, u), theta, r, y, 0.01, lab.x1, lab.x2)
     zero = ref == 0.0
     assert np.any(zero[0]) and not np.all(zero[0])
     assert np.all(got[zero] == 0.0)
@@ -411,7 +398,7 @@ def test_too_few_bands_raise(monkeypatch):
 
 def _random_frames(rng, n):
     return hierarchy.FrameContext(
-        t=np.zeros(n), theta=rng.uniform(-np.pi, np.pi, n), theta_dot=rng.standard_normal(n),
+        theta=rng.uniform(-np.pi, np.pi, n), theta_dot=rng.standard_normal(n),
         r=rng.uniform(0.3, 3.0, n), r_dot=rng.standard_normal(n),
         hessian=rng.standard_normal((n, 2, 2)), third=rng.standard_normal((n, 2, 2, 2)))
 
@@ -437,7 +424,7 @@ def test_closed_form_frame_rotation_pointwise():
                                 for i in range(coeff.shape[0]) for j in range(coeff.shape[1]))
     for k in range(5):
         c, s = np.cos(ctx.theta[k]), np.sin(ctx.theta[k])
-        one = FrameContext(0.0, ctx.theta[k], 0.0, ctx.r[k], 0.0, ctx.hessian[k], ctx.third[k])
+        one = FrameContext(ctx.theta[k], 0.0, ctx.r[k], 0.0, ctx.hessian[k], ctx.third[k])
         assert np.allclose(hierarchy._taylor_poly(one.hessian, one), p2[k], rtol=0, atol=1e-15)
         assert np.allclose(hierarchy._taylor_poly(one.third, one), p3[k], rtol=0, atol=1e-15)
         for x in rng.standard_normal((5, 2)):

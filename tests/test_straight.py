@@ -117,11 +117,6 @@ def test_profile_family():
     assert g(0.0) == pytest.approx(1.0)
     h = 1e-5
     assert g.derivative(0.7) == pytest.approx((g(0.7 + h) - g(0.7 - h)) / (2 * h), abs=1e-8)
-    # gaussian Fourier transform: hat f(k) = sqrt(2 pi) sigma exp(-sigma^2 k^2 / 2)
-    s = np.linspace(-40, 40, 4001)
-    k = 0.8
-    quad = np.trapezoid(g(s) * np.exp(-1j * k * s), s)
-    assert quad == pytest.approx(g.fourier(k), abs=1e-10)
 
     hp = make_profile("hermite", (2, 1.0))
     assert hp(0.0) == pytest.approx(-2.0)  # H_2(0) = -2
