@@ -157,22 +157,24 @@ class SpinorField:
             raise ValueError("field shape must be (2, n1, n2)")
         self.data = d
 
+    def _abs2(self):
+        w = np.abs(self.data)
+        return np.square(w, out=w)
+
     def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.data) ** 2) * self.grid.dA))
+        return float(np.sqrt(np.sum(self._abs2()) * self.grid.dA))
 
     def density(self):
-        return np.abs(self.data[0]) ** 2 + np.abs(self.data[1]) ** 2
+        w = self._abs2()
+        return w[0] + w[1]
 
     def center_of_mass(self):
         rho = self.density()
         total = np.sum(rho)
         if total == 0:
             return np.array([np.nan, np.nan])
-        X1, X2 = self.grid.mesh()
-        return np.array([np.sum(X1 * rho), np.sum(X2 * rho)]) / total
-
-    def copy(self):
-        return SpinorField(self.grid, self.data.copy(), self.time)
+        x1, x2 = self.grid.x1[:, None], self.grid.x2[None, :]
+        return np.array([np.sum(x1 * rho), np.sum(x2 * rho)]) / total
 
 
 @dataclasses.dataclass
@@ -189,6 +191,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if not (0 < self.krylov_tol <= 1e-6):
             raise ValueError("krylov tolerance must lie in (0, 1e-6]")
+        if self.max_krylov_iter < 1:
+            raise ValueError("max_krylov_iter must be at least 1")
 
 
 def apply_H(data, kappa, eps, grid: Grid2D):
@@ -277,15 +281,16 @@ class CrankNicolsonStepper:
         out[1] *= self._inv_det
         return out
 
-    def _apply_A(self, hat):
-        """(I + i gamma H) hat: one transform pair."""
-        spatial = _ifft2(hat)
-        spatial *= self.kappa
-        out = _fft2(spatial, overwrite_x=True)
+    def _apply_A(self, hat, out, tmp):
+        """(I + i gamma H) hat into out, with tmp an (n1, n2) scratch plane: one transform pair."""
+        np.copyto(out, hat)
+        _ifft2(out, overwrite_x=True)
+        out *= self.kappa
+        _fft2(out, overwrite_x=True)
         out[0] *= 1j * self._gamma
         out[1] *= -1j * self._gamma
-        out[0] += hat[0] + self._off * hat[1]
-        out[1] += hat[1] - self._off_c * hat[0]
+        out[0] += np.add(hat[0], np.multiply(self._off, hat[1], out=tmp), out=tmp)
+        out[1] += np.subtract(hat[1], np.multiply(self._off_c, hat[0], out=tmp), out=tmp)
         return out
 
     def step_hat(self, hat):
@@ -335,10 +340,13 @@ class CrankNicolsonStepper:
         """Relative residual of (I + i gamma H) psi_new = (I - i gamma H) psi_old.
 
         Computed from A = I + i gamma H alone, with the right-hand side
-        written as 2 psi_old - A psi_old.
+        written as 2 psi_old - A psi_old.  It runs in the step's buffers, which
+        are idle between steps: this holds only because step_hat never returns
+        one of them, so neither argument can alias a buffer.
         """
-        rhs = 2.0 * hat_old - self._apply_A(hat_old)
-        r = self._apply_A(hat_new) - rhs
+        rhs = self._apply_A(hat_old, self._u, self._scratch[0])
+        np.subtract(np.multiply(2.0, hat_old, out=self._scratch), rhs, out=rhs)
+        r = np.subtract(self._apply_A(hat_new, self._r, self._scratch[0]), rhs, out=self._r)
         return _norm(r) / max(_norm(rhs), 1e-300)
 
 
@@ -358,9 +366,6 @@ class EvolutionResult:
     steps: int
     max_krylov_iterations: int
 
-    def snapshot_times(self):
-        return np.array([s.time for s in self.snapshots])
-
 
 def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
            snapshot_times=None, on_snapshot=None) -> EvolutionResult:
@@ -370,9 +375,9 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
     taken.  Every snapshot records time, L2 norm and the center of mass of
     |psi|^2.  ``on_snapshot(snap)`` is called at each snapshot, in time order
     while the run goes on, with ``snap.field`` holding the field (the last one
-    is ``result.final``); the snapshots of the result keep no field, so memory
-    does not grow with their number.  The run aborts if the relative norm
-    drift exceeds DRIFT_ABORT.
+    is ``result.final``).  Only ``result.final`` outlives its callback: the
+    snapshots of the result keep no field, so memory does not grow with their
+    number.  The run aborts if the relative norm drift exceeds DRIFT_ABORT.
     """
     grid = initial.grid
     grid.check_resolution(config.epsilon)
@@ -402,17 +407,17 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
         snaps.append(Snapshot(time=f.time, norm=f.norm(), center_of_mass=f.center_of_mass()))
         if on_snapshot is not None:
             on_snapshot(dataclasses.replace(snaps[-1], field=f))
-        return f
+        return f if idx == n_steps else None
 
     final = record(0, hat)
     for i in range(1, n_steps + 1):
-        hat_old = hat
-        hat = stepper.step_hat(hat)
+        hat_new = stepper.step_hat(hat)
         max_iters = max(max_iters, stepper.last_iterations)
         if i % 256 == 0 or i == n_steps:
-            rel = stepper.true_residual(hat, hat_old)
+            rel = stepper.true_residual(hat_new, hat)
             if rel > config.krylov_tol:
                 raise SolverError(f"step residual {rel:.3e} above tolerance at step {i}")
+        hat = hat_new
         drift = max(drift, abs(_norm(hat) * hat_scale - norm0) / norm_denom)
         if drift > DRIFT_ABORT:
             raise SolverError(f"norm drift {drift:.3e} exceeded {DRIFT_ABORT:.1e} at step {i}")

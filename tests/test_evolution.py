@@ -324,7 +324,7 @@ def test_snapshot_bookkeeping():
     init = thm1_gaussian(grid, eps, np.zeros(2), 0.0)
     res = evolve(init, wall, EvolutionConfig(epsilon=eps, dt=0.0125), 0.125,
                  snapshot_times=[0.05, 0.1])
-    times = res.snapshot_times()
+    times = [s.time for s in res.snapshots]
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.125)
     assert len(times) == 4
     for s in res.snapshots:
@@ -348,6 +348,71 @@ def test_on_snapshot_streams_fields_in_order():
         assert np.array_equal(s.center_of_mass, kept.center_of_mass)
     assert np.allclose(seen[0].field.data, init.data, rtol=0.0, atol=1e-12)
     assert np.array_equal(seen[-1].field.data, res.final.data)
+
+
+def test_evolve_frees_each_snapshot_field_after_its_callback():
+    import weakref
+
+    grid = Grid2D(64, 64, 4.0, 4.0)
+    eps = 0.25
+    init = thm1_gaussian(grid, eps, np.zeros(2), 0.0)
+    refs = []
+
+    def hook(snap):
+        # no field of an earlier snapshot is alive when the next one arrives
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(snap.field))
+
+    res = evolve(init, make_wall("tanh"), EvolutionConfig(epsilon=eps, dt=0.0125), 0.125,
+                 snapshot_times=[0.05, 0.1], on_snapshot=hook)
+    assert len(refs) == 4
+    assert all(ref() is None for ref in refs[:-1])
+    assert refs[-1]() is res.final
+
+
+def test_field_reductions_match_the_mesh_expressions():
+    grid = Grid2D(64, 32, 3.0, 2.0)
+    rng = np.random.default_rng(11)
+    d = rng.standard_normal((2, 64, 32)) + 1j * rng.standard_normal((2, 64, 32))
+    f = SpinorField(grid, d, 0.0)
+    rho = np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2
+    X1, X2 = grid.mesh()
+    assert f.norm() == float(np.sqrt(np.sum(np.abs(d) ** 2) * grid.dA))
+    assert np.array_equal(f.density(), rho)
+    assert np.array_equal(f.center_of_mass(), np.array([np.sum(X1 * rho), np.sum(X2 * rho)]) / np.sum(rho))
+
+
+def test_true_residual_runs_in_the_step_buffers():
+    import tracemalloc
+
+    from edgelab import evolution
+
+    # 256^2: a field is 2 MB, well above the fixed 128 kB buffer in which numpy casts kappa to complex
+    grid = Grid2D(256, 256, 3.0, 3.0)
+    stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=0.1, dt=0.005))
+    hat_old = evolution._fft2(thm1_gaussian(grid, 0.1, np.zeros(2), 0.3).data)
+    hat_new = stepper.step_hat(hat_old)
+    # the audit may borrow the step's buffers only because a step returns none of them
+    assert not any(np.shares_memory(hat_new, b) for b in (stepper._u, stepper._r, stepper._scratch))
+
+    def apply_A(hat):  # reference: A = I + i gamma H in fresh arrays
+        out = evolution._fft2(evolution._ifft2(hat) * stepper.kappa, overwrite_x=True)
+        out[0] *= 1j * stepper._gamma
+        out[1] *= -1j * stepper._gamma
+        out[0] += hat[0] + stepper._off * hat[1]
+        out[1] += hat[1] - stepper._off_c * hat[0]
+        return out
+
+    rhs = 2.0 * hat_old - apply_A(hat_old)
+    want = evolution._norm(apply_A(hat_new) - rhs) / max(evolution._norm(rhs), 1e-300)
+    tracemalloc.start()
+    try:
+        got = stepper.true_residual(hat_new, hat_old)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and 0.0 < got <= stepper.config.krylov_tol
+    assert peak < hat_old.nbytes / 4
 
 
 def test_evolve_validates_times():
@@ -376,3 +441,5 @@ def test_config_validation():
         EvolutionConfig(epsilon=-0.1, dt=0.01)
     with pytest.raises(ValueError):
         EvolutionConfig(epsilon=0.1, dt=0.01, krylov_tol=1e-3)
+    with pytest.raises(ValueError):
+        EvolutionConfig(epsilon=0.1, dt=0.01, max_krylov_iter=0)

@@ -289,10 +289,11 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
     # values that Grid2D, check_resolution, EvolutionConfig, the wall or the profile reject are
     # config errors too, and so is a start point or trajectory that meets a degenerate interface point
-    for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["wall.family=nope"],
-                      ["init.profile=nope"], ["init.profile_params=-1"], ["init.profile_params=1,2,3"],
-                      ["wall.family=corner", "wall.params=0.5,7"], ["experiment.kind=berry", "berry.radii=-1"],
-                      ["wall.family=crossing"], ["wall.family=circle", "wall.params=1"],
+    for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["evolve.max_krylov=0"],
+                      ["wall.family=nope"], ["init.profile=nope"], ["init.profile_params=-1"],
+                      ["init.profile_params=1,2,3"], ["wall.family=corner", "wall.params=0.5,7"],
+                      ["experiment.kind=berry", "berry.radii=-1"], ["wall.family=crossing"],
+                      ["wall.family=circle", "wall.params=1"],
                       ["experiment.kind=dispersion_probe", "wall.family=crossing", "wall.params=", "init.y0=0.1,0",
                        "probe.fit_t_min=0.05", "probe.sup_samples=5"]):
         assert cli_main(["run", str(cfg_path), "--out", str(out),
