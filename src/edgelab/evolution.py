@@ -435,7 +435,6 @@ class OverlapDiagnostics:
     l2_error: float
     relative_error: float
     center_offset: float
-    phase_at_center: float
 
 
 def phase_at(field: SpinorField, center):
@@ -462,5 +461,4 @@ def overlap_diagnostics(field: SpinorField, ansatz: SpinorField, center, norm_re
         l2_error=err,
         relative_error=err / ref if ref > 0 else np.inf,
         center_offset=float(np.hypot(*(com_f - np.asarray(center, dtype=float)))),
-        phase_at_center=phase_at(field, center),
     )

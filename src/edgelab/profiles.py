@@ -15,31 +15,21 @@ __all__ = ["Profile", "GaussianProfile", "HermiteProfile", "BumpProfile", "make_
 class Profile:
     """Callable profile with an analytic derivative."""
 
-    kind = "custom"
-    params: tuple = ()
-
     def __call__(self, s):
         raise NotImplementedError
 
     def derivative(self, s):
         raise NotImplementedError
 
-    def describe(self):
-        ps = ", ".join(f"{p:g}" for p in self.params)
-        return f"{self.kind}({ps})"
-
 
 class GaussianProfile(Profile):
     """exp(-(s - c)^2 / (2 sigma^2))."""
-
-    kind = "gaussian"
 
     def __init__(self, sigma=1.0, center=0.0):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.sigma = float(sigma)
         self.center = float(center)
-        self.params = (self.sigma, self.center)
 
     def __call__(self, s):
         u = (np.asarray(s, dtype=float) - self.center) / self.sigma
@@ -53,8 +43,6 @@ class GaussianProfile(Profile):
 class HermiteProfile(Profile):
     """H_n(s / sigma) exp(-s^2 / (2 sigma^2)) with the physicists' Hermite polynomial."""
 
-    kind = "hermite"
-
     def __init__(self, n=1, sigma=1.0):
         if n < 0 or int(n) != n:
             raise ValueError("Hermite index must be a non-negative integer")
@@ -62,7 +50,6 @@ class HermiteProfile(Profile):
             raise ValueError("sigma must be positive")
         self.n = int(n)
         self.sigma = float(sigma)
-        self.params = (float(self.n), self.sigma)
 
     def _h(self, u, n):
         c = np.zeros(n + 1)
@@ -83,13 +70,10 @@ class HermiteProfile(Profile):
 class BumpProfile(Profile):
     """Compact bump exp(1 - 1/(1 - (s/w)^2)) on |s| < w, zero outside."""
 
-    kind = "bump"
-
     def __init__(self, width=3.0):
         if width <= 0:
             raise ValueError("width must be positive")
         self.width = float(width)
-        self.params = (self.width,)
 
     def __call__(self, s):
         u = np.atleast_1d(np.asarray(s, dtype=float)) / self.width

@@ -397,7 +397,6 @@ class NormalizedWall(DomainWall):
     Third derivatives are central differences of the Hessian (base class).
     """
 
-    family = "custom"
     fd_step = 1e-3
 
     def __init__(self, base: DomainWall, tube_halfwidth: float):

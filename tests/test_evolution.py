@@ -10,6 +10,7 @@ from edgelab.evolution import (
     apply_H,
     evolve,
     overlap_diagnostics,
+    phase_at,
 )
 from edgelab.geometry import integrate_trajectory
 from edgelab.profiles import GaussianProfile
@@ -433,7 +434,7 @@ def test_overlap_diagnostics_values():
     rotated = SpinorField(grid, np.exp(1j * np.pi / 3) * init.data, 0.0)
     diag = overlap_diagnostics(rotated, init, np.zeros(2))
     assert diag.relative_error == pytest.approx(abs(np.exp(1j * np.pi / 3) - 1.0), rel=1e-10)
-    assert diag.phase_at_center == pytest.approx(np.pi / 3, abs=1e-10)
+    assert phase_at(rotated, np.zeros(2)) == pytest.approx(np.pi / 3, abs=1e-10)
 
 
 def test_config_validation():

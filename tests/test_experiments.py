@@ -270,8 +270,10 @@ def test_run_hierarchy_check_records_health(tmp_path):
 
 def test_check_suite_passes():
     checks = run_check_suite()
-    assert len(checks) >= 5
+    assert [name for name, _, _ in checks] == ["Cayley plane-wave step", "free preconditioner exact", "unitarity",
+                                               "split preconditioner", "circle corrector golden"]
     for name, ok, detail in checks:
+        assert type(ok) is bool, name
         assert ok, f"{name}: {detail}"
 
 
@@ -295,10 +297,20 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                       ["experiment.kind=berry", "berry.radii=-1"], ["wall.family=crossing"],
                       ["wall.family=circle", "wall.params=1"],
                       ["experiment.kind=dispersion_probe", "wall.family=crossing", "wall.params=", "init.y0=0.1,0",
-                       "probe.fit_t_min=0.05", "probe.sup_samples=5"]):
+                       "probe.fit_t_min=0.05", "probe.sup_samples=5"],
+                      ["experiment.kind=scaling", "scaling.times="], ["init.kind=ansatz", "init.order=3"]):
         assert cli_main(["run", str(cfg_path), "--out", str(out),
                          *(arg for o in overrides for arg in ("--override", o))]) == 2
         assert "config error" in capsys.readouterr().err
+    # hierarchy times off the trajectory grid or too early for the central difference, a step
+    # that is not positive, and orders that are empty or not 0, 1 or 2
+    hier_path = os.path.join(os.path.dirname(__file__), "..", "configs", "hierarchy_tanh.cfg")
+    hier_out = tmp_path / "hier"
+    for override in ("hierarchy.times=", "hierarchy.times=0", "hierarchy.times=0.0005", "hierarchy.times=0.5005",
+                     "hierarchy.fd_dt=0", "hierarchy.fd_dt=-1e-3", "hierarchy.orders=", "hierarchy.orders=0.5"):
+        assert cli_main(["run", hier_path, "--out", str(hier_out), "--override", override]) == 2, override
+        assert "config error" in capsys.readouterr().err
+        assert not hier_out.exists()
 
 
 def test_solvability_breach_exits_3(tmp_path, capsys):
@@ -350,10 +362,16 @@ def test_cli_override_applies(tmp_path):
     assert len(rows) == 5
 
 
-def test_cli_check(capsys):
+def test_cli_check(capsys, monkeypatch):
     assert cli_main(["check"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    # a failing check exits 4
+    monkeypatch.setattr("edgelab.cli.run_check_suite", lambda: [("always fails", False, "detail")])
+    assert cli_main(["check"]) == 4
+    captured = capsys.readouterr()
+    assert "[FAIL] always fails: detail" in captured.out
+    assert "1 check(s) failed" in captured.err
 
 
 def test_cli_export_heatmap(tmp_path):
