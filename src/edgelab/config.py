@@ -48,7 +48,7 @@ _SCHEMA = {
     "init.y0": ("floats", None),
     "init.alpha1": ("complex", complex(1.0)),
     "init.alpha2": ("complex", complex(0.0)),
-    "traj.dt": ("float", 0.0),  # 0 -> automatic (arclength/1000, aligned with the step)
+    "traj.dt": ("float", 0.0),  # 0 -> automatic (arclength/1000, aligned with the step); else positive
     "scaling.epsilons": ("floats", (0.2, 0.1, 0.05)),
     "scaling.times": ("floats", (1.0,)),
     "berry.radii": ("floats", ()),

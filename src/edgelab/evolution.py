@@ -54,16 +54,12 @@ def get_fft_workers():
     return _FFT_WORKERS
 
 
-def _axes_2d(fn, a, out):
+def _transform_2d(fn, a, overwrite_x):
     """fn along axis -2, then along axis -1 in place: scipy.fft's c2cn order, so the bits match
     scipy.fft.fft2/ifft2 (numpy.fft.fft2 goes -1 first and differs in the last bits)."""
+    out = a if overwrite_x else np.empty(a.shape, dtype=complex)
     fn(a, axis=-2, out=out)
     fn(out, axis=-1, out=out)
-
-
-def _transform_2d(fn, a, overwrite_x):
-    out = a if overwrite_x else np.empty(a.shape, dtype=complex)
-    _axes_2d(fn, a, out)
     return out
 
 
@@ -393,7 +389,7 @@ def evolve(initial: SpinorField, wall, config: EvolutionConfig, t_end,
             raise ValueError(f"snapshot time {t} outside the run")
         want.add(idx)
 
-    hat = _fft2(initial.data.astype(complex, copy=True))
+    hat = _fft2(initial.data)
     hat_scale = (grid.dA / (grid.n1 * grid.n2)) ** 0.5  # Parseval factor for norms in Fourier space
     norm0 = initial.norm()
     norm_denom = norm0 if norm0 > 0.0 else 1.0

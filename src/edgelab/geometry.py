@@ -6,6 +6,8 @@ ansatz machinery needs: the unwrapped angle theta with
 grad(kappa)(y_t) = r_t(-sin theta, cos theta), its rate theta_dot, the gradient
 magnitude r_t with its rate, and the accumulated squared curvature
 Theta_t = int_0^t theta_dot^2 ds that controls coherence loss on curved walls.
+Only ``integrate_trajectory`` projects onto Gamma and tests |grad kappa|
+against a floor, so r_t is the run's transversality record.
 """
 
 from __future__ import annotations
@@ -82,11 +84,12 @@ def project_to_interface(wall, x0, tol=1e-12, max_iter=50):
 
 
 def _velocity(wall, y, floor):
+    """Gradient g, its magnitude r and the unit tangent g^perp/r at y; r below ``floor`` is an error."""
     g = wall.gradient(y)
     r = float(np.hypot(g[0], g[1]))
     if r < floor:
         raise TransversalityError(f"|grad kappa| = {r:.3g} below floor {floor:g} at y = {y}")
-    return np.array([-g[1], g[0]]) / r
+    return g, r, np.array([-g[1], g[0]]) / r
 
 
 def integrate_trajectory(
@@ -121,17 +124,13 @@ def integrate_trajectory(
     r_dot = np.empty(n + 1)
     Theta = np.empty(n + 1)
 
-    f = lambda p: _velocity(wall, p, transversality_floor)
+    f = lambda p: _velocity(wall, p, transversality_floor)[2]
     theta_prev = None
     for i in range(n + 1):
         if abs(float(wall.value(y))) > drift_tol:
             y = project_to_interface(wall, y)
-        g = wall.gradient(y)
+        g, ri, v = _velocity(wall, y, transversality_floor)
         H = wall.hessian(y)
-        ri = float(np.hypot(g[0], g[1]))
-        if ri < transversality_floor:
-            raise TransversalityError(f"|grad kappa| = {ri:.3g} below floor at t = {i * dt:.6g}")
-        v = np.array([-g[1], g[0]]) / ri
         raw = float(np.arctan2(-g[0], g[1]))
         if theta_prev is None:
             th = raw
@@ -147,7 +146,7 @@ def integrate_trajectory(
         theta_dot[i] = float(v @ Hv) / ri
         r_dot[i] = float(g @ Hv) / ri
         if i < n:
-            k1 = f(y)
+            k1 = v
             k2 = f(y + 0.5 * dt * k1)
             k3 = f(y + 0.5 * dt * k2)
             k4 = f(y + dt * k3)

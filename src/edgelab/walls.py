@@ -25,10 +25,8 @@ __all__ = [
     "WallDerivatives",
     "SingularPointError",
     "TransversalityError",
-    "TransversalityReport",
     "make_wall",
     "evaluate_wall",
-    "check_transversality",
     "normalize_wall",
     "straight_wall",
     "WALL_FAMILIES",
@@ -67,7 +65,10 @@ class DomainWall:
     fd_step = 1e-5  # step of the finite-difference third derivative
 
     def __init__(self, params=()):
-        self.params = tuple(float(p) for p in params)
+        """A family that takes parameters sets ``params`` in its own constructor; the rest take none."""
+        if len(params):
+            raise ValueError(f"{self.family} wall takes no params")
+        self.params = ()
 
     def value(self, pts):
         return self._value(np.asarray(pts, dtype=float))
@@ -117,7 +118,7 @@ class LinearWall(DomainWall):
     def __init__(self, params=(0.0, 1.0)):
         if len(params) != 2:
             raise ValueError("linear wall takes params (a1, a2)")
-        super().__init__(params)
+        self.params = tuple(float(p) for p in params)
         self.a = np.array(self.params)
 
     def _value(self, pts):
@@ -174,7 +175,7 @@ class CircleWall(DomainWall):
             params = (params[0], 0.0, 0.0)
         if len(params) != 3:
             raise ValueError("circle wall takes params (R,) or (R, cx, cy)")
-        super().__init__(params)
+        self.params = tuple(float(p) for p in params)
         self.radius = self.params[0]
         self.center = np.array(self.params[1:])
         if self.radius <= 0:
@@ -224,7 +225,7 @@ class ModulatedStraightWall(DomainWall):
     def __init__(self, params=(0.9,)):
         if len(params) != 1:
             raise ValueError("modulated_straight wall takes params (m,)")
-        super().__init__(params)
+        self.params = tuple(float(p) for p in params)
         self.m = self.params[0]
 
     def _value(self, pts):
@@ -265,7 +266,7 @@ class CornerWall(DomainWall):
     def __init__(self, params=(0.5,)):
         if len(params) != 1:
             raise ValueError("corner wall takes params (mu,)")
-        super().__init__(params)
+        self.params = tuple(float(p) for p in params)
         self.mu = self.params[0]
         if self.mu < 0:
             raise ValueError("corner parameter mu must be >= 0")
@@ -334,7 +335,7 @@ class TwoRingWall(DomainWall):
     def __init__(self, params=(1.0,)):
         if len(params) != 1:
             raise ValueError("two_ring wall takes params (c,)")
-        super().__init__(params)
+        self.params = tuple(float(p) for p in params)
         self.c = self.params[0]
 
     def _split(self, pts):
@@ -549,35 +550,6 @@ def evaluate_wall(wall: DomainWall, x) -> WallDerivatives:
         if not np.all(np.isfinite(part)):
             raise SingularPointError(f"non-finite wall derivatives at {x}")
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class TransversalityReport:
-    min_gradient: float
-    floor: float
-    passed: bool
-    n_samples: int
-
-
-def check_transversality(wall, tube_samples, tol, floor=1e-3) -> TransversalityReport:
-    """Minimum of |grad kappa| over near-interface samples, versus a floor.
-
-    ``tube_samples`` must lie within |kappa| <= tol of the interface; the
-    report carries the minimum gradient magnitude and a pass/fail flag.
-    """
-    pts = np.atleast_2d(np.asarray(tube_samples, dtype=float))
-    if pts.size == 0:
-        raise ValueError("empty transversality sample set")
-    vals = wall.value(pts)
-    if np.any(np.abs(vals) > tol):
-        raise ValueError(
-            f"transversality samples stray from the interface: max |kappa| = {np.max(np.abs(vals)):.3g} > {tol:g}"
-        )
-    g = wall.gradient(pts)
-    gmin = float(np.min(np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2)))
-    return TransversalityReport(
-        min_gradient=gmin, floor=float(floor), passed=gmin >= floor, n_samples=len(pts)
-    )
 
 
 def normalize_wall(wall: DomainWall, tube_halfwidth: float) -> NormalizedWall:

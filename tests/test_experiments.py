@@ -93,8 +93,11 @@ def test_run_evolve_outputs(tmp_path):
     rows = read_rows(out / "evolution.csv")
     assert rows[0][:2] == ["t", "norm"]
     assert len(rows) == 4  # header + 3 snapshots
-    assert (out / "meta.txt").exists()
-    assert (out / "trajectory.csv").exists()
+    # the transversality record is the least r over every (len // 64)-th row of trajectory.csv
+    r = np.array([float(row[4]) for row in read_rows(out / "trajectory.csv")[1:]])
+    r = r[::max(1, len(r) // 64)]
+    assert (f"transversality: min |grad kappa| = {float(r.min())!r} over {len(r)} samples (floor 0.001, pass)"
+            in (out / "meta.txt").read_text())
     fields = sorted(p for p in os.listdir(out) if p.endswith(".desl"))
     assert len(fields) == 3
     field, eps = read_snapshot(out / fields[0])
@@ -290,11 +293,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
     # values that Grid2D, check_resolution, EvolutionConfig, the wall or the profile reject are
-    # config errors too, and so is a start point or trajectory that meets a degenerate interface point
+    # config errors too, and so are a start point or trajectory that meets a degenerate interface
+    # point, params given to a family that takes none, an all-zero mix and a negative traj.dt
     for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["evolve.max_krylov=0"],
                       ["wall.family=nope"], ["init.profile=nope"], ["init.profile_params=-1"],
                       ["init.profile_params=1,2,3"], ["wall.family=corner", "wall.params=0.5,7"],
-                      ["experiment.kind=berry", "berry.radii=-1"], ["wall.family=crossing"],
+                      ["experiment.kind=berry", "berry.radii=-1"], ["wall.family=crossing", "wall.params="],
+                      ["wall.family=tanh", "wall.params=2"], ["init.kind=mix", "init.alpha1=0"], ["traj.dt=-1"],
+                      ["wall.family=crossing", "wall.params=3", "init.y0=1.5,0"],
                       ["wall.family=circle", "wall.params=1"],
                       ["experiment.kind=dispersion_probe", "wall.family=crossing", "wall.params=", "init.y0=0.1,0",
                        "probe.fit_t_min=0.05", "probe.sup_samples=5"],

@@ -65,6 +65,9 @@ def test_tanh_trajectory_drift_and_convergence():
     t_end = 3.0
     traj = integrate_trajectory(wall, np.array([0.0, 0.0]), t_end, 2e-3)
     assert np.max(np.abs(wall.value(traj.y))) <= 1e-8
+    # r is the transversality record: |grad kappa| = sqrt(1 + sech^4 y1) >= 1 on Gamma
+    assert np.max(np.abs(traj.r - np.sqrt(1.0 + (1.0 - np.tanh(traj.y[:, 0]) ** 2) ** 2))) <= 1e-12
+    assert np.min(traj.r) >= 1.0
     half = integrate_trajectory(wall, np.array([0.0, 0.0]), t_end, 1e-3)
     # Theta converged under step halving
     assert abs(traj.Theta[-1] - half.Theta[-1]) < 1e-8

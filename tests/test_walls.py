@@ -4,7 +4,6 @@ import pytest
 from edgelab.walls import (
     SingularPointError,
     TransversalityError,
-    check_transversality,
     evaluate_wall,
     make_wall,
     normalize_wall,
@@ -128,40 +127,12 @@ def test_corner_singular_point():
     evaluate_wall(smooth, np.array([0.0, 0.0]))
 
 
-def test_transversality_circle_passes():
-    wall = make_wall("circle", (1.0,))
-    th = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-    samples = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    rep = check_transversality(wall, samples, tol=1e-12, floor=0.5)
-    assert rep.passed
-    assert rep.min_gradient == pytest.approx(1.0)
-
-
-def test_transversality_crossing_fails_at_origin():
-    wall = make_wall("crossing")
-    rep = check_transversality(wall, [(0.0, 0.0)], tol=1e-12, floor=1e-3)
-    assert not rep.passed
-    assert rep.min_gradient == pytest.approx(0.0)
-
-
-def test_transversality_tanh_bound():
-    wall = make_wall("tanh")
-    x1 = np.linspace(-3, 3, 60)
-    samples = np.stack([x1, np.tanh(x1)], axis=-1)
-    rep = check_transversality(wall, samples, tol=1e-12, floor=0.5)
-    # oracle: |grad| = sqrt(1 + sech^4 x1) >= 1
-    oracle = np.min(np.sqrt(1.0 + (1.0 - np.tanh(x1) ** 2) ** 2))
-    assert rep.passed
-    assert rep.min_gradient == pytest.approx(oracle)
-    assert rep.min_gradient >= 1.0
-
-
-def test_transversality_validates_inputs():
-    wall = make_wall("circle", (1.0,))
-    with pytest.raises(ValueError):
-        check_transversality(wall, [], tol=1e-12)
-    with pytest.raises(ValueError):
-        check_transversality(wall, [(2.0, 0.0)], tol=1e-12)
+def test_families_without_params_reject_them():
+    # tanh and crossing take no parameters; a value given to them is an error, not ignored
+    for family in ("tanh", "crossing"):
+        assert make_wall(family, ()).describe() == f"{family}()"
+        with pytest.raises(ValueError, match=f"{family} wall takes no params"):
+            make_wall(family, (2.0,))
 
 
 def gamma_samples(wall, seeds):
