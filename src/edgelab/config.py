@@ -20,7 +20,13 @@ class ConfigError(ValueError):
 
 _KINDS = ("evolve", "scaling", "berry", "dispersion_probe", "hierarchy_check")
 
-# section.key -> (type tag, default); None default means "required or derived"
+# ranges as (text, test); a list key's test applies to each entry
+_POSITIVE = "> 0", lambda v: v > 0
+_UNIT = "in (0, 1]", lambda v: 0 < v <= 1
+_ORDER = "0, 1 or 2", lambda v: v in (0, 1, 2)
+
+# section.key -> (type tag, default[, range]); None default means "required or derived".  A value set
+# in the file or by override must be finite and in range, and a list with a range must be non-empty.
 _SCHEMA = {
     "experiment.kind": ("str", None),
     "experiment.out": ("str", "runs/out"),
@@ -33,33 +39,34 @@ _SCHEMA = {
     "grid.l1": ("float", 6.0),
     "grid.l2": ("float", 6.0),
     "grid.auto": ("bool", False),
-    "evolve.epsilon": ("float", 0.1),
+    "evolve.epsilon": ("float", 0.1, _UNIT),
     "evolve.dt_rule": ("str", "eps/20"),
-    "evolve.t_end": ("float", 1.0),
+    "evolve.t_end": ("float", 1.0, _POSITIVE),
     "evolve.krylov_tol": ("float", 1e-12),
     "evolve.max_krylov": ("int", 400),
-    "evolve.snapshots": ("int", 9),
+    "evolve.snapshots": ("int", 9, (">= 2", lambda n: n >= 2)),
     "evolve.save_fields": ("bool", False),
     "evolve.heatmaps": ("bool", False),
-    "init.kind": ("str", None),
+    "init.kind": ("str", None, ("ansatz, gaussian, orthogonal or mix",
+                                lambda v: v in ("ansatz", "gaussian", "orthogonal", "mix"))),
     "init.profile": ("str", "gaussian"),
     "init.profile_params": ("floats", (1.0,)),
-    "init.order": ("int", 0),
+    "init.order": ("int", 0, _ORDER),
     "init.y0": ("floats", None),
     "init.alpha1": ("complex", complex(1.0)),
     "init.alpha2": ("complex", complex(0.0)),
-    "traj.dt": ("float", 0.0),  # 0 -> automatic (arclength/1000, aligned with the step); else positive
-    "scaling.epsilons": ("floats", (0.2, 0.1, 0.05)),
-    "scaling.times": ("floats", (1.0,)),
+    "traj.dt": ("float", 0.0, (">= 0", lambda v: v >= 0)),  # 0 -> automatic (arclength/1000, aligned with the step)
+    "scaling.epsilons": ("floats", (0.2, 0.1, 0.05), _UNIT),
+    "scaling.times": ("floats", (1.0,), _POSITIVE),
     "berry.radii": ("floats", ()),
-    "berry.revolutions": ("float", 1.0),
-    "berry.snapshots": ("int", 64),
+    "berry.revolutions": ("float", 1.0, _POSITIVE),
+    "berry.snapshots": ("int", 64, (">= 8", lambda n: n >= 8)),
     "probe.fit_t_min": ("float", 0.5),
     "probe.fit_t_max": ("float", 0.0),  # 0 -> t_end
-    "probe.sup_samples": ("int", 33),
-    "hierarchy.orders": ("floats", (0.0, 1.0)),
-    "hierarchy.times": ("floats", (0.5,)),
-    "hierarchy.fd_dt": ("float", 1e-3),
+    "probe.sup_samples": ("int", 33, (">= 5", lambda n: n >= 5)),
+    "hierarchy.orders": ("floats", (0.0, 1.0), _ORDER),
+    "hierarchy.times": ("floats", (0.5,), _POSITIVE),
+    "hierarchy.fd_dt": ("float", 1e-3, _POSITIVE),
     "hierarchy.evolve_check": ("bool", False),
 }
 
@@ -83,7 +90,7 @@ _DEFAULT_Y0 = {
 
 
 def _convert(key, raw):
-    tag, _ = _SCHEMA[key]
+    tag = _SCHEMA[key][0]
     raw = raw.strip()
     try:
         if tag == "str":
@@ -130,22 +137,22 @@ def parse_config_text(text) -> dict:
 
 
 def parse_dt_rule(rule, epsilon):
-    """Time-step rule: either 'eps/<d>' or a literal float."""
+    """Time-step rule: either 'eps/<d>' or a literal float, each finite and positive."""
     rule = str(rule).strip()
     if rule.startswith("eps/"):
         try:
             d = float(rule[4:])
         except ValueError:
             raise ConfigError(f"bad dt rule {rule!r}") from None
-        if d <= 0:
+        if not (d > 0 and np.isfinite(d)):
             raise ConfigError(f"bad dt rule {rule!r}")
         return epsilon / d
     try:
         dt = float(rule)
     except ValueError:
         raise ConfigError(f"bad dt rule {rule!r}") from None
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ConfigError(f"dt must be finite and positive, got {dt}")
     return dt
 
 
@@ -159,14 +166,14 @@ class ExperimentConfig:
         kind = self.values.get("experiment.kind")
         if kind not in _KINDS:
             raise ConfigError(f"experiment.kind must be one of {_KINDS}, got {kind!r}")
-        eps_keys = ("evolve.epsilon",) if kind in ("evolve", "berry", "dispersion_probe") else ()
-        for key in eps_keys:
-            if not (0 < self.get(key) <= 1):
-                raise ConfigError(f"{key} must lie in (0, 1]")
-        if kind in ("scaling", "hierarchy_check"):
-            eps = self.get("scaling.epsilons")
-            if not eps or any(not (0 < e <= 1) for e in eps):
-                raise ConfigError("scaling.epsilons must be a non-empty list in (0, 1]")
+        for key, value in self.values.items():
+            tag, _, *test = _SCHEMA[key]
+            if tag in ("float", "floats", "complex") and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            entries = value if tag == "floats" else (value,)
+            if test and not (entries and all(map(test[0][1], entries))):
+                each = "a non-empty list, each " if tag == "floats" else ""
+                raise ConfigError(f"{key} must be {each}{test[0][0]}, got {value!r}")
 
     @property
     def kind(self):
@@ -177,7 +184,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}")
         if key in self.values:
             return self.values[key]
-        _, default = _SCHEMA[key]
+        default = _SCHEMA[key][1]
         if key == "init.kind":
             return _DEFAULT_INIT_KIND[self.kind]
         if default is None:

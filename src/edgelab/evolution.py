@@ -90,7 +90,7 @@ class Grid2D:
         for n in (self.n1, self.n2):
             if n < 2 or (n & (n - 1)):
                 raise ValueError("grid sizes must be powers of two")
-        if self.l1 <= 0 or self.l2 <= 0:
+        if not (self.l1 > 0 and self.l2 > 0):
             raise ValueError("grid half-extents must be positive")
 
     @property
@@ -183,7 +183,7 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (0 < self.epsilon):
             raise ValueError("epsilon must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not (0 < self.krylov_tol <= 1e-6):
             raise ValueError("krylov tolerance must lie in (0, 1e-6]")

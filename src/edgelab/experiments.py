@@ -152,8 +152,6 @@ class _Run:
         kind, eps, grid = self.cfg.get("init.kind"), self.eps, self.grid
         theta, y0 = self.traj.theta[0], self.traj.y[0]
         if kind == "ansatz":
-            if self.cfg.get("init.order") not in (0, 1, 2):
-                raise ConfigError("init.order must be 0, 1 or 2")
             return assemble_ansatz(self.cfg.get("init.order"), self.profile, self.traj, 0.0, grid, eps)
         X1, X2 = grid.mesh()
         gauss = np.exp(-((X1 - y0[0]) ** 2 + (X2 - y0[1]) ** 2) / (2.0 * eps)) / np.sqrt(eps)
@@ -161,12 +159,10 @@ class _Run:
             alpha = edge_spinor(theta)
         elif kind == "orthogonal":
             alpha = np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-        elif kind == "mix":
+        else:
             alpha = np.array([self.cfg.get("init.alpha1"), self.cfg.get("init.alpha2")], dtype=complex)
             if not alpha.any():
                 raise ConfigError("init.kind = mix needs init.alpha1 or init.alpha2 non-zero")
-        else:
-            raise ConfigError(f"unknown init.kind {kind!r}")
         return SpinorField(grid, gauss[None, ...] * alpha[:, None, None], 0.0)
 
     def index(self, t):
@@ -200,8 +196,6 @@ def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=Fal
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     target = cfg.get("traj.dt") or min(1e-3 * max(t_end, 1.0), dt_evol)
-    if not target > 0:
-        raise ConfigError("traj.dt must be positive, or 0 for the automatic step")
     dt_traj = dt_evol / max(1, int(round(dt_evol / target)))
     span = t_end
     with _degenerate_is_config_error():
@@ -301,7 +295,7 @@ def run_evolve(cfg: ExperimentConfig, out_dir):
         if cfg.get("evolve.heatmaps"):
             snapshots.export_pgm(os.path.join(out_dir, f"density_{snap.time:011.6f}.pgm"), snap.field)
 
-    result = run.evolve(np.linspace(0.0, t_end, max(2, cfg.get("evolve.snapshots"))), on_snapshot, initial)
+    result = run.evolve(np.linspace(0.0, t_end, cfg.get("evolve.snapshots")), on_snapshot, initial)
     meta = _wall_check_lines(traj) + [
         f"dt = {run.ec.dt!r}, trajectory dt = {run.dt_traj!r}, grid = {run.grid}",
         f"norm drift = {result.norm_drift!r}, max krylov iterations = {result.max_krylov_iterations}",
@@ -327,8 +321,6 @@ def run_scaling(cfg: ExperimentConfig, out_dir):
     if len(eps_list) >= 3 and max(eps_list) / min(eps_list) < 4.0:
         raise ConfigError("scaling.epsilons should span at least a factor 4")
     times = sorted(cfg.get("scaling.times"))
-    if not times:
-        raise ConfigError("scaling.times must be a non-empty list")
     rows, drift, meta = [], 0.0, []
     for eps in eps_list:
         run = _prepare(cfg, eps, times[-1])
@@ -369,8 +361,10 @@ def run_berry(cfg: ExperimentConfig, out_dir):
     The trace stops at the first snapshot whose packet has left the interface
     tube; the evolution still runs to the end.
     """
-    eps = cfg.get("evolve.epsilon")
-    radii = cfg.get("berry.radii") or (cfg.get("wall.params") or (1.0,))[:1]
+    eps, params = cfg.get("evolve.epsilon"), cfg.get("wall.params")
+    if cfg.get("wall.family") != "circle" or params[1:] not in ((), (0.0, 0.0)):
+        raise ConfigError("berry runs on circles about the origin: wall.family = circle, wall.params = R or R, 0, 0")
+    radii = cfg.get("berry.radii") or (params or (1.0,))[:1]
     if min(radii) <= 0:
         raise ConfigError("berry radii must be positive")
     results, tables, meta = {}, {}, []
@@ -388,7 +382,7 @@ def run_berry(cfg: ExperimentConfig, out_dir):
             if not decohered:
                 trace.append((snap.time, evolution.phase_at(snap.field, y), traj.theta[i] - traj.theta[0]))
 
-        times = np.linspace(0.0, t_end, max(8, cfg.get("berry.snapshots")))
+        times = np.linspace(0.0, t_end, cfg.get("berry.snapshots"))
         result = run.evolve(times, on_snapshot)
         snap_t, raw, thetas = np.array(trace).T
         phases = np.unwrap(raw)
@@ -433,7 +427,7 @@ def run_dispersion_probe(cfg: ExperimentConfig, out_dir):
         ov = complex(np.sum(np.conj(ref.data) * snap.field.data) * grid.dA)
         rows.append((snap.time, sup, abs(ov) / max(ref.norm() ** 2, 1e-300)))
 
-    result = run.evolve(np.linspace(0.0, t_end, max(5, cfg.get("probe.sup_samples"))), on_snapshot)
+    result = run.evolve(np.linspace(0.0, t_end, cfg.get("probe.sup_samples")), on_snapshot)
 
     t_min = cfg.get("probe.fit_t_min")
     t_max = cfg.get("probe.fit_t_max") or t_end
@@ -460,16 +454,12 @@ def run_hierarchy_check(cfg: ExperimentConfig, out_dir):
     order.  With ``hierarchy.evolve_check`` on, also evolves corrected
     initial data and fits the terminal error slope.
     """
-    orders = cfg.get("hierarchy.orders")
-    if not orders or any(o not in (0, 1, 2) for o in orders):
-        raise ConfigError("hierarchy.orders must be a non-empty list within {0, 1, 2}")
-    orders = [int(o) for o in orders]
+    orders = [int(o) for o in cfg.get("hierarchy.orders")]
     eps_list = sorted(cfg.get("scaling.epsilons"), reverse=True)
     times = sorted(cfg.get("hierarchy.times"))
     fd_dt = cfg.get("hierarchy.fd_dt")
-    if fd_dt <= 0 or not times or times[0] < fd_dt:
-        raise ConfigError("hierarchy.fd_dt must be positive and hierarchy.times a non-empty list, "
-                          "each time at least fd_dt")
+    if times[0] < fd_dt:
+        raise ConfigError("hierarchy.times must each be at least hierarchy.fd_dt")
     wall, profile = _wall_and_profile(cfg)
     t_max = times[-1] + 2.0 * fd_dt
     dt_traj = fd_dt / max(1, round(fd_dt / (1e-3 * max(1.0, t_max))))

@@ -178,7 +178,7 @@ class CircleWall(DomainWall):
         self.params = tuple(float(p) for p in params)
         self.radius = self.params[0]
         self.center = np.array(self.params[1:])
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("circle radius must be positive")
 
     def _rho(self, pts):
@@ -268,7 +268,7 @@ class CornerWall(DomainWall):
             raise ValueError("corner wall takes params (mu,)")
         self.params = tuple(float(p) for p in params)
         self.mu = self.params[0]
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("corner parameter mu must be >= 0")
 
     def _q(self, pts):
@@ -404,7 +404,7 @@ class NormalizedWall(DomainWall):
         super().__init__(())
         self.base = base
         self.tube = float(tube_halfwidth)
-        if self.tube <= 0:
+        if not self.tube > 0:
             raise ValueError("tube_halfwidth must be positive")
 
     def describe(self):

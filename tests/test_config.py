@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from edgelab.config import ConfigError, ExperimentConfig, load_config, parse_config_text, parse_dt_rule
+from edgelab.config import (
+    _DEFAULT_INIT_KIND,
+    _SCHEMA,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+    parse_dt_rule,
+)
 
 GOOD = """
 # a scaling study
@@ -48,6 +56,15 @@ def test_kind_validation():
         ExperimentConfig(parse_config_text("experiment.kind = evolve\nevolve.epsilon = 1.5"))
     with pytest.raises(ConfigError):
         ExperimentConfig(parse_config_text("experiment.kind = scaling\nscaling.epsilons = \n"))
+    # a value outside its key's range, or not finite, is rejected at load whether or not the kind reads it
+    for text in ("experiment.kind = scaling\nevolve.epsilon = 1.5", "experiment.kind = evolve\nhierarchy.times = nan",
+                 "experiment.kind = evolve\nevolve.snapshots = 1", "experiment.kind = berry\nberry.snapshots = 3",
+                 "experiment.kind = evolve\ninit.kind = wave", "experiment.kind = evolve\ngrid.l1 = inf",
+                 "experiment.kind = evolve\ninit.alpha1 = nan"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(parse_config_text(text))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(parse_config_text(GOOD)).apply_overrides(["probe.sup_samples=4"])
 
 
 def test_overrides():
@@ -68,6 +85,9 @@ def test_dt_rules():
         parse_dt_rule("eps/0", 0.1)
     with pytest.raises(ConfigError):
         parse_dt_rule("soon", 0.1)
+    for rule in ("nan", "inf", "eps/nan", "eps/inf", "-inf"):
+        with pytest.raises(ConfigError):
+            parse_dt_rule(rule, 0.1)
 
 
 def test_complex_alphas():
@@ -108,3 +128,11 @@ def test_shipped_configs_parse():
         cfg = load_config(path)
         assert cfg.kind in ("evolve", "scaling", "berry", "dispersion_probe", "hierarchy_check")
         cfg.y0()  # every shipped config has a usable starting point
+
+
+def test_schema_defaults_pass_their_tests():
+    # every default, and every per-kind init.kind, is finite and in its key's range when set explicitly
+    for key, (_, default, *_) in _SCHEMA.items():
+        defaults = _DEFAULT_INIT_KIND.values() if key == "init.kind" else () if default is None else (default,)
+        for value in defaults:
+            ExperimentConfig({"experiment.kind": "evolve", key: value})

@@ -444,3 +444,12 @@ def test_config_validation():
         EvolutionConfig(epsilon=0.1, dt=0.01, krylov_tol=1e-3)
     with pytest.raises(ValueError):
         EvolutionConfig(epsilon=0.1, dt=0.01, max_krylov_iter=0)
+
+
+def test_grid_and_config_reject_nan():
+    for l1, l2 in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            Grid2D(64, 64, l1, l2)
+    for eps, dt in ((np.nan, 0.01), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            EvolutionConfig(epsilon=eps, dt=dt)

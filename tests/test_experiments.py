@@ -294,26 +294,43 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--override", "grid.bogus=1"]) == 2
     # values that Grid2D, check_resolution, EvolutionConfig, the wall or the profile reject are
     # config errors too, and so are a start point or trajectory that meets a degenerate interface
-    # point, params given to a family that takes none, an all-zero mix and a negative traj.dt
+    # point, params given to a family that takes none, an all-zero mix, a value outside its key's
+    # range, a non-finite number, a dt rule whose step is not finite and positive, and a Berry run
+    # on anything but a circle about the origin; none of them writes an output directory
+    berry = ["experiment.kind=berry", "wall.family=circle", "wall.params=1"]
+    bad_out = tmp_path / "bad"
     for overrides in (["grid.n1=100"], ["grid.n1=16"], ["evolve.krylov_tol=1e-3"], ["evolve.max_krylov=0"],
                       ["wall.family=nope"], ["init.profile=nope"], ["init.profile_params=-1"],
                       ["init.profile_params=1,2,3"], ["wall.family=corner", "wall.params=0.5,7"],
-                      ["experiment.kind=berry", "berry.radii=-1"], ["wall.family=crossing", "wall.params="],
+                      [*berry, "berry.radii=-1"], ["wall.family=crossing", "wall.params="],
                       ["wall.family=tanh", "wall.params=2"], ["init.kind=mix", "init.alpha1=0"], ["traj.dt=-1"],
                       ["wall.family=crossing", "wall.params=3", "init.y0=1.5,0"],
                       ["wall.family=circle", "wall.params=1"],
                       ["experiment.kind=dispersion_probe", "wall.family=crossing", "wall.params=", "init.y0=0.1,0",
                        "probe.fit_t_min=0.05", "probe.sup_samples=5"],
-                      ["experiment.kind=scaling", "scaling.times="], ["init.kind=ansatz", "init.order=3"]):
-        assert cli_main(["run", str(cfg_path), "--out", str(out),
-                         *(arg for o in overrides for arg in ("--override", o))]) == 2
+                      ["experiment.kind=scaling", "scaling.times="], ["init.kind=ansatz", "init.order=3"],
+                      ["evolve.epsilon=0"], ["evolve.epsilon=1.5"], ["init.kind=wave"],
+                      ["experiment.kind=scaling", "scaling.epsilons=0.2,0"],
+                      ["experiment.kind=scaling", "scaling.times=0"], ["scaling.times=-1"],
+                      ["evolve.t_end=0"], ["evolve.t_end=nan"], ["evolve.t_end=inf"],
+                      ["evolve.snapshots=1"], ["evolve.snapshots=-5"], [*berry, "berry.snapshots=3"],
+                      [*berry, "berry.revolutions=0"], ["experiment.kind=dispersion_probe", "probe.sup_samples=4"],
+                      [*berry, "berry.radii=nan"], ["grid.l1=nan"], ["init.kind=mix", "init.alpha1=nan"],
+                      ["hierarchy.times=nan"], ["hierarchy.fd_dt=nan"], ["traj.dt=nan"],
+                      ["evolve.dt_rule=nan"], ["evolve.dt_rule=eps/nan"], ["evolve.dt_rule=eps/inf"],
+                      ["evolve.dt_rule=inf"], ["experiment.kind=berry", "wall.family=tanh"],
+                      [*berry, "wall.params=1,0.5,0"], [*berry, "wall.params=1,0"]):
+        assert cli_main(["run", str(cfg_path), "--out", str(bad_out),
+                         *(arg for o in overrides for arg in ("--override", o))]) == 2, overrides
         assert "config error" in capsys.readouterr().err
+        assert not bad_out.exists(), overrides
     # hierarchy times off the trajectory grid or too early for the central difference, a step
     # that is not positive, and orders that are empty or not 0, 1 or 2
     hier_path = os.path.join(os.path.dirname(__file__), "..", "configs", "hierarchy_tanh.cfg")
     hier_out = tmp_path / "hier"
     for override in ("hierarchy.times=", "hierarchy.times=0", "hierarchy.times=0.0005", "hierarchy.times=0.5005",
-                     "hierarchy.fd_dt=0", "hierarchy.fd_dt=-1e-3", "hierarchy.orders=", "hierarchy.orders=0.5"):
+                     "hierarchy.fd_dt=0", "hierarchy.fd_dt=-1e-3", "hierarchy.orders=", "hierarchy.orders=0.5",
+                     "hierarchy.fd_dt=nan", "hierarchy.times=nan", "hierarchy.times=0.5,inf", "hierarchy.orders=3"):
         assert cli_main(["run", hier_path, "--out", str(hier_out), "--override", override]) == 2, override
         assert "config error" in capsys.readouterr().err
         assert not hier_out.exists()

@@ -188,3 +188,11 @@ def test_evaluate_wall_rejects_bad_points():
     wall = make_wall("tanh")
     with pytest.raises(ValueError):
         evaluate_wall(wall, np.array([np.inf, 0.0]))
+
+
+def test_walls_reject_nan_parameters():
+    for family, params in (("circle", (np.nan,)), ("corner", (np.nan,))):
+        with pytest.raises(ValueError):
+            make_wall(family, params)
+    with pytest.raises(ValueError):
+        normalize_wall(make_wall("tanh"), np.nan)
