@@ -185,8 +185,8 @@ class EvolutionConfig:
             raise ValueError("epsilon must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (0 < self.krylov_tol <= 1e-6):
-            raise ValueError("krylov tolerance must lie in (0, 1e-6]")
+        if not (1e-15 <= self.krylov_tol <= 1e-6):
+            raise ValueError("krylov tolerance must lie in [1e-15, 1e-6]")
         if self.max_krylov_iter < 1:
             raise ValueError("max_krylov_iter must be at least 1")
 
@@ -296,7 +296,7 @@ class CrankNicolsonStepper:
         if psi_norm == 0.0:
             self.last_iterations = 0
             return np.zeros_like(hat)
-        target = max(cfg.krylov_tol, 1e-15) * psi_norm
+        target = cfg.krylov_tol * psi_norm
 
         # r holds 2 psi, then r_k = -E r_{k-1}; acc sums ifft(F^-1 r) to ifft(F^-1 u_k)
         acc, r = self._u, self._r

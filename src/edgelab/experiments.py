@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
 from .evolution import EvolutionConfig, Grid2D, SpinorField
-from .geometry import ProjectionError, Trajectory, integrate_trajectory
+from .geometry import TRANSVERSALITY_FLOOR, ProjectionError, Trajectory, integrate_trajectory
 from .hermite import X1Grid
 from .hierarchy import CorrectorSolver, assemble_ansatz
 from .profiles import GaussianProfile, Profile, make_profile
@@ -238,13 +238,10 @@ def auto_grid(traj_points, eps, margin_widths=5.0, min_n=128, max_n=1024):
 
 
 def _wall_check_lines(traj):
-    """The wall, and the least |grad kappa| of every (len // 64)-th trajectory sample against the floor 1e-3."""
-    r = traj.r[::max(1, len(traj) // 64)]
-    return [
-        f"wall = {traj.wall.describe()}",
-        f"transversality: min |grad kappa| = {float(r.min())!r} over {len(r)} samples "
-        f"(floor 0.001, {'pass' if r.min() >= 1e-3 else 'FAIL'})",
-    ]
+    """The wall, and the least |grad kappa| over every trajectory sample."""
+    return [f"wall = {traj.wall.describe()}",
+            f"transversality: min |grad kappa| = {float(traj.r.min())!r} over {len(traj)} samples "
+            f"(floor {TRANSVERSALITY_FLOOR:g})"]
 
 
 def _fmt(v):
@@ -362,13 +359,17 @@ def run_berry(cfg: ExperimentConfig, out_dir):
     tube; the evolution still runs to the end.
     """
     eps, params = cfg.get("evolve.epsilon"), cfg.get("wall.params")
-    if cfg.get("wall.family") != "circle" or params[1:] not in ((), (0.0, 0.0)):
-        raise ConfigError("berry runs on circles about the origin: wall.family = circle, wall.params = R or R, 0, 0")
+    if cfg.get("wall.family") != "circle" or params[1:] not in ((), (0.0, 0.0)) or cfg.get("wall.normalize"):
+        raise ConfigError("berry runs on circles about the origin: wall.family = circle, wall.params = R or R, 0, 0, "
+                          "wall.normalize = false")
     radii = cfg.get("berry.radii") or (params or (1.0,))[:1]
     if min(radii) <= 0:
         raise ConfigError("berry radii must be positive")
+    names = [f"phase_r{radius:g}.csv" for radius in radii]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"berry radii must give distinct trace files, got {', '.join(names)}")
     results, tables, meta = {}, {}, []
-    for radius in radii:
+    for radius, name in zip(radii, names):
         wall = make_wall("circle", (radius,))
         t_end = 2.0 * np.pi * radius * cfg.get("berry.revolutions")
         run = _prepare(cfg, eps, t_end, wall, np.array([radius, 0.0]))
@@ -388,8 +389,7 @@ def run_berry(cfg: ExperimentConfig, out_dir):
         phases = np.unwrap(raw)
         phases -= phases[0]
         total = float(phases[-1])
-        tables[f"phase_r{radius:g}.csv"] = (["t", "phase", "predicted_minus_theta_over_2"],
-                                            zip(snap_t, phases, -0.5 * thetas))
+        tables[name] = (["t", "phase", "predicted_minus_theta_over_2"], zip(snap_t, phases, -0.5 * thetas))
         results[radius] = {"total_phase": total, "decohered": decohered, "norm_drift": result.norm_drift}
         meta.extend(_wall_check_lines(traj))
         meta.append(

@@ -6,8 +6,8 @@ ansatz machinery needs: the unwrapped angle theta with
 grad(kappa)(y_t) = r_t(-sin theta, cos theta), its rate theta_dot, the gradient
 magnitude r_t with its rate, and the accumulated squared curvature
 Theta_t = int_0^t theta_dot^2 ds that controls coherence loss on curved walls.
-Only ``integrate_trajectory`` projects onto Gamma and tests |grad kappa|
-against a floor, so r_t is the run's transversality record.
+Only ``integrate_trajectory`` projects onto Gamma and tests |grad kappa| against
+TRANSVERSALITY_FLOOR = 1e-3 at every RK4 stage, so r_t is the run's transversality record.
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ import numpy as np
 from .walls import DomainWall, TransversalityError
 
 __all__ = [
+    "TRANSVERSALITY_FLOOR",
     "Trajectory",
     "ProjectionError",
     "project_to_interface",
     "integrate_trajectory",
     "hessian_frame_residual",
 ]
+
+TRANSVERSALITY_FLOOR = 1e-3  # the least |grad kappa| a trajectory may meet
 
 
 class ProjectionError(RuntimeError):
@@ -83,12 +86,12 @@ def project_to_interface(wall, x0, tol=1e-12, max_iter=50):
     raise ProjectionError(f"no convergence projecting {x0}: |kappa| = {abs(val):.3g} after {max_iter} iterations")
 
 
-def _velocity(wall, y, floor):
-    """Gradient g, its magnitude r and the unit tangent g^perp/r at y; r below ``floor`` is an error."""
+def _velocity(wall, y):
+    """Gradient g, its magnitude r and the unit tangent g^perp/r at y; r below the floor is an error."""
     g = wall.gradient(y)
     r = float(np.hypot(g[0], g[1]))
-    if r < floor:
-        raise TransversalityError(f"|grad kappa| = {r:.3g} below floor {floor:g} at y = {y}")
+    if r < TRANSVERSALITY_FLOOR:
+        raise TransversalityError(f"|grad kappa| = {r:.3g} below floor {TRANSVERSALITY_FLOOR:g} at y = {y}")
     return g, r, np.array([-g[1], g[0]]) / r
 
 
@@ -98,7 +101,6 @@ def integrate_trajectory(
     t_end: float,
     dt: float,
     *,
-    transversality_floor=1e-6,
     drift_tol=1e-10,
 ) -> Trajectory:
     """Integrate the interface ODE with classical RK4 and assemble frame data.
@@ -124,12 +126,12 @@ def integrate_trajectory(
     r_dot = np.empty(n + 1)
     Theta = np.empty(n + 1)
 
-    f = lambda p: _velocity(wall, p, transversality_floor)[2]
+    f = lambda p: _velocity(wall, p)[2]
     theta_prev = None
     for i in range(n + 1):
         if abs(float(wall.value(y))) > drift_tol:
             y = project_to_interface(wall, y)
-        g, ri, v = _velocity(wall, y, transversality_floor)
+        g, ri, v = _velocity(wall, y)
         H = wall.hessian(y)
         raw = float(np.arctan2(-g[0], g[1]))
         if theta_prev is None:

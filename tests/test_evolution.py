@@ -453,3 +453,5 @@ def test_grid_and_config_reject_nan():
     for eps, dt in ((np.nan, 0.01), (0.1, np.nan)):
         with pytest.raises(ValueError):
             EvolutionConfig(epsilon=eps, dt=dt)
+    with pytest.raises(ValueError):  # below 1e-15 the step's residual target is rounding noise
+        EvolutionConfig(epsilon=0.1, dt=0.01, krylov_tol=1e-16)

@@ -123,6 +123,13 @@ def test_transversality_abort():
         integrate_trajectory(wall, np.array([0.05, 0.0]), 1.0, 1e-3)
 
 
+def test_transversality_floor_stops_lemniscate_at_crossing():
+    # the two_ring lemniscate's crossing draws the trajectory in: |grad kappa| falls below
+    # TRANSVERSALITY_FLOOR near t = 1.85, where the reference frame stalls
+    with pytest.raises(TransversalityError):
+        integrate_trajectory(make_wall("two_ring", (1.0,)), np.array([1.41, 0.0]), 2.0, 1e-3)
+
+
 def test_hessian_frame_residual_values():
     probes = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     circ = integrate_trajectory(make_wall("circle", (1.0,)), np.array([1.0, 0.0]), 1.0, 1e-3)
