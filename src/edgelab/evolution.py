@@ -11,7 +11,8 @@ linear-solver tolerance.  The map equals 2 A^-1 - I with A = I + i dt H / (2 eps
 so a step solves A w = 2 psi_old in Fourier variables, right-preconditioned with
 the free-Dirac factor (2x2 per mode) times the mass factor (pointwise in space).
 The remainder E is O((dt/eps)^2) and contracts, so a fixed-point iteration with
-the residual update r <- -E r solves it in k + 0.5 FFT pairs for k sweeps.
+the residual update r <- -E r solves it in k FFT pairs for k sweeps when a norm
+bound certifies the last sweep, and in k + 0.5 otherwise.
 """
 
 from __future__ import annotations
@@ -231,8 +232,13 @@ class CrankNicolsonStepper:
     r_{k+1} = -E r_k from r_0 = -E (2 psi), so each sweep applies E to r alone
     (one transform pair, counted in ``last_iterations``), and the inverse
     transforms ifft(F^-1 r_j) it makes sum to ifft(F^-1 u_k): w = P^-1 u_k
-    costs one forward FFT more, ``last_iterations`` + 0.5 pairs per step.  The
-    first u_k with |r_k| <= krylov_tol |psi| is returned.  This r_k is the
+    costs one forward FFT more.  Once the last two residuals predict a pass
+    (|r_k|^2 <= 10 target |r_{k-1}|), a sweep bounds the residual its forward
+    transform would give by Parseval, |r| <= max|off| sqrt(N1 N2) |spatial|,
+    and stops without that transform when the bound is under the target.  So
+    a step costs ``last_iterations`` pairs when its last sweep is certified,
+    and ``last_iterations`` + 0.5 otherwise.  The first u_k with
+    |r_k| <= krylov_tol |psi| is returned.  This r_k is the
     recursive residual, equal to 2 psi - (I + E) u_k up to rounding over at
     most ``max_krylov_iter`` applications of E; ``evolve`` audits the true
     residual every 256 steps.  Since |(I - i gamma H) psi| >= |psi|, the rule
@@ -255,6 +261,9 @@ class CrankNicolsonStepper:
         # I + i gamma H_free has per-mode blocks [[1, b], [-conj(b), 1]], det = 1 + |b|^2
         self._off = 0.5j * config.dt * (k1 - 1j * k2)
         self._off_c = np.conj(self._off)
+        # max|off| sqrt(N1 N2), so |r| <= _r_bound |spatial| for the r a sweep makes from spatial
+        self._r_bound = (0.5 * config.dt * np.hypot(np.abs(grid.k1).max(), np.abs(grid.k2).max())
+                         * np.sqrt(grid.n1 * grid.n2))
         self._inv_det = 1.0 / (1.0 + 0.25 * config.dt**2 * (k1**2 + k2**2))
         mass = 1j * self._gamma * np.stack([self.kappa, -self.kappa])
         self._mass_inv = 1.0 / (1.0 + mass)
@@ -301,7 +310,7 @@ class CrankNicolsonStepper:
         # r holds 2 psi, then r_k = -E r_{k-1}; acc sums ifft(F^-1 r) to ifft(F^-1 u_k)
         acc, r = self._u, self._r
         np.multiply(hat, 2.0, out=r)
-        total = 0
+        total, prev, resid = 0, 0.0, 0.0
         while True:
             spatial = _ifft2(self._free_solve(r, self._scratch), overwrite_x=True)
             if total == 0:
@@ -309,11 +318,15 @@ class CrankNicolsonStepper:
             else:
                 acc += spatial
             spatial *= self._remainder
+            total += 1
+            # once two residuals predict a pass, certify the residual this transform would give by
+            # its Parseval bound (see the class docstring) and skip the transform
+            if total > 2 and resid * resid <= 10.0 * target * prev and self._r_bound * _norm(spatial) <= target:
+                break
             z = _fft2(spatial, overwrite_x=True)
             np.multiply(self._off, z[1], out=r[0])
             np.multiply(self._off_c, z[0], out=r[1])
-            total += 1
-            resid = _norm(r)
+            prev, resid = resid, _norm(r)
             if resid <= target:
                 break
             if total >= cfg.max_krylov_iter:

@@ -23,12 +23,12 @@ import numpy as np
 from . import __version__, evolution, hierarchy, snapshots
 from .config import ConfigError, ExperimentConfig, parse_dt_rule
 from .evolution import EvolutionConfig, Grid2D, SpinorField
-from .geometry import TRANSVERSALITY_FLOOR, ProjectionError, Trajectory, integrate_trajectory
+from .geometry import DEGENERATE_ERRORS, TRANSVERSALITY_FLOOR, Trajectory, integrate_trajectory
 from .hermite import X1Grid
 from .hierarchy import CorrectorSolver, assemble_ansatz
 from .profiles import GaussianProfile, Profile, make_profile
 from .straight import edge_spinor
-from .walls import CircleWall, SingularPointError, TransversalityError, make_wall, normalize_wall, straight_wall
+from .walls import CircleWall, make_wall, normalize_wall, straight_wall
 
 __all__ = [
     "FitResult",
@@ -121,15 +121,12 @@ def _wall_and_profile(cfg: ExperimentConfig, wall=None):
         raise ConfigError(str(exc)) from exc
 
 
-_DEGENERATE = (TransversalityError, ProjectionError, SingularPointError)  # raised at degenerate interface points
-
-
 @contextlib.contextmanager
 def _degenerate_is_config_error():
     """A start point or trajectory that meets a degenerate interface point is a config error."""
     try:
         yield
-    except _DEGENERATE as exc:
+    except DEGENERATE_ERRORS as exc:
         raise ConfigError(f"degenerate interface point: {exc}") from exc
 
 
@@ -183,9 +180,9 @@ def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=Fal
 
     The evolution step follows the dt rule, adjusted to divide t_end; the
     trajectory step divides it and sits near 1e-3 arclength.  With
-    ``truncate`` a degenerate interface point halves the trajectory span until
-    it integrates; a start point on one, or a trajectory that meets one
-    otherwise, is a config error.
+    ``truncate`` a trajectory that meets a degenerate interface point ends at
+    its last valid sample if it has two; otherwise, and without ``truncate``,
+    meeting one is a config error.
     """
     wall, profile = _wall_and_profile(cfg, wall)
     dt_evol = parse_dt_rule(cfg.get("evolve.dt_rule"), eps)
@@ -197,17 +194,14 @@ def _prepare(cfg: ExperimentConfig, eps, t_end, wall=None, y0=None, truncate=Fal
         raise ConfigError(str(exc)) from exc
     target = cfg.get("traj.dt") or min(1e-3 * max(t_end, 1.0), dt_evol)
     dt_traj = dt_evol / max(1, int(round(dt_evol / target)))
-    span = t_end
     with _degenerate_is_config_error():
         y0 = cfg.y0() if y0 is None else y0
-        while True:
-            try:
-                traj = integrate_trajectory(wall, y0, round(span / dt_traj) * dt_traj, dt_traj)
-                break
-            except _DEGENERATE:
-                span /= 2.0
-                if not truncate or round(span / dt_traj) < 2:
-                    raise
+        try:
+            traj = integrate_trajectory(wall, y0, round(t_end / dt_traj) * dt_traj, dt_traj)
+        except DEGENERATE_ERRORS as exc:
+            if not truncate or len(exc.trajectory) < 2:
+                raise
+            traj = exc.trajectory
     return _Run(cfg, eps, t_end, ec, dt_traj, traj, _grid_for(cfg, traj, eps), profile)
 
 

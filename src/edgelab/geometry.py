@@ -16,10 +16,11 @@ import dataclasses
 
 import numpy as np
 
-from .walls import DomainWall, TransversalityError
+from .walls import DomainWall, SingularPointError, TransversalityError
 
 __all__ = [
     "TRANSVERSALITY_FLOOR",
+    "DEGENERATE_ERRORS",
     "Trajectory",
     "ProjectionError",
     "project_to_interface",
@@ -32,6 +33,9 @@ TRANSVERSALITY_FLOOR = 1e-3  # the least |grad kappa| a trajectory may meet
 
 class ProjectionError(RuntimeError):
     """Raised when Newton projection onto Gamma fails to converge."""
+
+
+DEGENERATE_ERRORS = (TransversalityError, ProjectionError, SingularPointError)  # raised at degenerate interface points
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,7 +113,9 @@ def integrate_trajectory(
     ``drift_tol`` in |kappa| are re-projected.  theta is unwrapped by clamping
     per-step increments to (-pi, pi]; theta_dot and r_dot come from the exact
     identities theta_dot = <hess v, v>/r and r_dot = <grad, hess v>/r, and
-    Theta accumulates theta_dot^2 by the trapezoid rule.
+    Theta accumulates theta_dot^2 by the trapezoid rule.  An error raised at a
+    degenerate interface point carries the samples completed before it as
+    ``exc.trajectory``, a Trajectory over t = 0 .. its last valid sample.
     """
     if dt <= 0 or t_end < 0:
         raise ValueError("need dt > 0 and t_end >= 0")
@@ -117,49 +123,55 @@ def integrate_trajectory(
     if abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be an integer multiple of dt")
 
-    y = project_to_interface(wall, y0)
     ts = np.empty(n + 1)
     ys = np.empty((n + 1, 2))
     theta = np.empty(n + 1)
     r = np.empty(n + 1)
     theta_dot = np.empty(n + 1)
     r_dot = np.empty(n + 1)
-    Theta = np.empty(n + 1)
+
+    def samples(m):
+        """The Trajectory of the first m samples."""
+        sq = theta_dot[:m] ** 2
+        Theta = np.concatenate([[0.0], np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]))])[:m]
+        return Trajectory(wall=wall, dt=dt, t=ts[:m], y=ys[:m], theta=theta[:m], r=r[:m],
+                          theta_dot=theta_dot[:m], r_dot=r_dot[:m], Theta=Theta)
 
     f = lambda p: _velocity(wall, p)[2]
     theta_prev = None
-    for i in range(n + 1):
-        if abs(float(wall.value(y))) > drift_tol:
-            y = project_to_interface(wall, y)
-        g, ri, v = _velocity(wall, y)
-        H = wall.hessian(y)
-        raw = float(np.arctan2(-g[0], g[1]))
-        if theta_prev is None:
-            th = raw
-        else:
-            incr = (raw - theta_prev + np.pi) % (2.0 * np.pi) - np.pi
-            th = theta[i - 1] + incr
-        theta_prev = raw
-        Hv = H @ v
-        ts[i] = i * dt
-        ys[i] = y
-        theta[i] = th
-        r[i] = ri
-        theta_dot[i] = float(v @ Hv) / ri
-        r_dot[i] = float(g @ Hv) / ri
-        if i < n:
-            k1 = v
-            k2 = f(y + 0.5 * dt * k1)
-            k3 = f(y + 0.5 * dt * k2)
-            k4 = f(y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    Theta[0] = 0.0
-    sq = theta_dot**2
-    np.cumsum(0.5 * dt * (sq[1:] + sq[:-1]), out=Theta[1:])
-    return Trajectory(
-        wall=wall, dt=dt, t=ts, y=ys, theta=theta, r=r, theta_dot=theta_dot, r_dot=r_dot, Theta=Theta
-    )
+    done = 0
+    try:
+        y = project_to_interface(wall, y0)
+        for i in range(n + 1):
+            if abs(float(wall.value(y))) > drift_tol:
+                y = project_to_interface(wall, y)
+            g, ri, v = _velocity(wall, y)
+            H = wall.hessian(y)
+            raw = float(np.arctan2(-g[0], g[1]))
+            if theta_prev is None:
+                th = raw
+            else:
+                incr = (raw - theta_prev + np.pi) % (2.0 * np.pi) - np.pi
+                th = theta[i - 1] + incr
+            theta_prev = raw
+            Hv = H @ v
+            ts[i] = i * dt
+            ys[i] = y
+            theta[i] = th
+            r[i] = ri
+            theta_dot[i] = float(v @ Hv) / ri
+            r_dot[i] = float(g @ Hv) / ri
+            done = i + 1
+            if i < n:
+                k1 = v
+                k2 = f(y + 0.5 * dt * k1)
+                k3 = f(y + 0.5 * dt * k2)
+                k4 = f(y + dt * k3)
+                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    except DEGENERATE_ERRORS as exc:
+        exc.trajectory = samples(done)
+        raise
+    return samples(n + 1)
 
 
 def hessian_frame_residual(traj: Trajectory, x_probes) -> float:

@@ -58,10 +58,11 @@ DEFAULT_X1_GRID = X1Grid(n=256, half_extent=12.0)
 # in band 0, T1 a0 in bands 0-2, b1 = L^-1 T1 a0 in bands 0-3, the b2 source
 # T1 b1 + T2 a0 + T1 K f1 in bands 0-5 (0-5, 0-3, 0-2) and b2 in bands 0-6:
 # 7 bands, plus 2 guard bands that truncation_health reads and that must stay
-# exactly zero.  The corrector sweep carries b1 on its 4 bands plus the 2
-# guard bands (min(N_BANDS, 6)); b2 solves widen it to N_BANDS.  T2 a0 has no
-# first component (a0 lies in the first one, and T2 carries sigma1), so the f1
-# transport, which reads only the kernel band, skips it.
+# exactly zero.  The corrector sweep inverts L for b1 on its 4 bands and
+# carries it with the 2 guard bands (min(N_BANDS, 6)); b2 solves widen it to
+# N_BANDS.  T2 a0 has no first component (a0 lies in the first one, and T2
+# carries sigma1), so the f1 transport, which reads only the kernel band, skips
+# it.
 N_BANDS = 9
 _B1_BANDS = 4
 SWEEP_BLOCK = 16  # trajectory samples per block of the corrector sweep
@@ -138,6 +139,25 @@ def apply_T1(c, dt_c, ctx: FrameContext, p2, grid: X1Grid):
     return -1j * (apply_frame_generator(c, ctx, grid) + dt_c) + hermite.apply_poly_sigma1(c, p2, grid)
 
 
+def _t1_kernel_line(c, dt_c, ctx: FrameContext, p2, grid: X1Grid):
+    """apply_T1(c, dt_c, ctx, p2, grid)[..., 0, :, 0], the kernel line, from the six lines it reads:
+    the first component's bands 0-2 (d/dx1 of bands 0-1 and the d/dx2 ladder) and the second's bands
+    0-2 (the sigma swap of band 0, the quadratic Taylor term).  apply_T1's primitives run in its
+    order on these lines, so the result agrees with apply_T1's line to the bit."""
+    per_line = lambda v: _per_sample(v)[..., 0, :, :]  # frame scalars against (..., N1, nb) lines
+    theta_dot, c0 = per_line(ctx.theta_dot), c[..., 0, :, :3]
+    d1 = 1j * hermite.d1_op(c0[..., :2], grid)
+    d2 = hermite.dx2_op(c0)
+    x1 = grid.x[:, None]
+    out = -0.5j * theta_dot * c[..., 1, :, :1]
+    if np.any(ctx.r_dot):
+        out = out + (per_line(ctx.r_dot) / (2.0 * per_line(ctx.r))) * (
+            x1 * d1[..., :1] + hermite.x2_mult(d2[..., :2])[..., :1])
+    out = out + theta_dot * (hermite.x2_mult(d1)[..., :1] - x1 * d2[..., :1])
+    poly = hermite.apply_poly(c[..., 1:, :, :3], p2, grid)[..., 0, :, 0]  # sigma1 reads the second component
+    return -1j * (out[..., 0] + dt_c[..., 0, :, 0]) + poly
+
+
 def apply_T2(c, ctx: FrameContext, grid: X1Grid):
     """T2 = (cubic Taylor) sigma3."""
     return hermite.apply_poly_sigma1(c, _taylor_poly(ctx.third, ctx), grid)
@@ -203,8 +223,8 @@ class CorrectorSolver:
     whole block, builds b1 = -L^-1 (T1 a0) / sqrt(r), its time derivative by
     differences across samples, and f1 by integrating the kernel-band
     transport equation (trapezoid rule, f1(0) = 0).  That band is the one of
-    beta1 = -(T1 b1 + T2 a0), so the sweep applies T1 to b1's bands 0-3 and
-    skips T2 a0, which has none (see N_BANDS).
+    beta1 = -(T1 b1 + T2 a0), so the sweep evaluates that one line of T1 b1
+    (_t1_kernel_line) and skips T2 a0, which has none (see N_BANDS).
 
     The kernel share of each b1 source, the solvability residual, must vanish
     up to discretization; above SOLVABILITY_TOL it raises SolverError.  It
@@ -275,16 +295,16 @@ class CorrectorSolver:
             nrm = np.sqrt(np.sum(np.abs(_widen(src, N_BANDS).reshape(hi - lo, -1)) ** 2, axis=1) * dx)
             band_norm = np.array([np.linalg.norm(f) for f in band]) * np.sqrt(dx) * hermite._KERNEL_NORM
             np.divide(band_norm, nrm, out=solv_out[lo:hi], where=nrm > 1e-300)
-        b1 = hermite.invert_L(_widen(projected, min(N_BANDS, _B1_BANDS + 2)), self.grid)
-        return b1 * _per_sample(-1.0 / np.sqrt(ctx.r))
+        b1 = hermite.invert_L(_widen(projected, _B1_BANDS), self.grid) * _per_sample(-1.0 / np.sqrt(ctx.r))
+        return _widen(b1, min(N_BANDS, _B1_BANDS + 2))
 
     def _dtf1_block(self, lo, hi, b1, dtb1):
         """d/dt f1 at samples lo..hi-1 in the profile variable: i * (kernel band of beta1), which is
         the kernel band of -T1 b1."""
         ctx = self._frames(lo, hi)
         p2 = _taylor_poly(ctx.hessian, ctx)
-        t1b1 = apply_T1(b1[..., :_B1_BANDS], dtb1[..., :_B1_BANDS], ctx, p2, self.grid)
-        return 1j * _KERNEL_TRANSPORT * hermite.eval_dilated(-t1b1[:, 0, :, 0], self.grid, np.sqrt(ctx.r))
+        line = _t1_kernel_line(b1, dtb1, ctx, p2, self.grid)
+        return 1j * _KERNEL_TRANSPORT * hermite.eval_dilated(-line, self.grid, np.sqrt(ctx.r))
 
     def _kernel_f1(self, i, ctx: FrameContext):
         """K f1 at sample i and the explicit d/dt of its coefficients, (1, 2, N1, N_BANDS) each;

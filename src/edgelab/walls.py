@@ -370,7 +370,8 @@ class TwoRingWall(DomainWall):
 
 
 def _check_away_from(dist, what):
-    if np.any(np.asarray(dist) < 1e-300) or not np.all(np.isfinite(np.asarray(dist))):
+    d = np.asarray(dist)
+    if not ((d >= 1e-300) & (d < np.inf)).all():  # one pass: NaN fails both tests
         raise SingularPointError(f"wall derivative evaluated at singular point: {what}")
 
 

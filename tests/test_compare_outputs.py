@@ -29,5 +29,5 @@ def test_compare_dirs_reports_each_file(tmp_path):
     (b / "run" / "meta.txt").write_text("edgelab 0.1.0\nnumpy 2.4, python 3.11\nkey = 2\n")
     assert ("meta.txt", False, "text differs") in compare_outputs.compare_dirs(str(a / "run"), str(b / "run"))
     # each run writes its own output directory
-    assert len({name for name, _, _ in compare_outputs.RUNS}) == len(compare_outputs.RUNS) == 14
+    assert len({name for name, _, _ in compare_outputs.RUNS}) == len(compare_outputs.RUNS) == 15
 

@@ -172,7 +172,7 @@ def test_transforms_match_scipy_fft2_bit_for_bit(workers, overwrite_x, monkeypat
             assert np.array_equal(x.view(np.float64), a.view(np.float64))
 
 
-def test_step_makes_iterations_plus_half_transform_pairs(monkeypatch):
+def test_step_counts_forward_and_inverse_transforms(monkeypatch):
     from edgelab import evolution
 
     calls = {"fft2": 0, "ifft2": 0}
@@ -184,13 +184,17 @@ def test_step_makes_iterations_plus_half_transform_pairs(monkeypatch):
         return wrapper
 
     grid = Grid2D(64, 64, 3.0, 3.0)
-    stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=0.1, dt=0.005))
     hat = evolution._fft2(thm1_gaussian(grid, 0.1, np.zeros(2), 0.3).data)
     monkeypatch.setattr(evolution, "_fft2", counted("fft2", evolution._fft2))
     monkeypatch.setattr(evolution, "_ifft2", counted("ifft2", evolution._ifft2))
-    stepper.step_hat(hat)
-    assert stepper.last_iterations > 0
-    assert calls == {"fft2": stepper.last_iterations + 1, "ifft2": stepper.last_iterations}
+    # a certified last sweep skips its forward transform: k pairs for k sweeps; an uncertified
+    # step transforms every sweep's product, and w = P^-1 u takes one forward transform more
+    for tol, sweeps, forward in ((1e-12, 4, 4), (1e-6, 2, 3)):
+        calls.update(fft2=0, ifft2=0)
+        stepper = CrankNicolsonStepper(grid, make_wall("tanh"), EvolutionConfig(epsilon=0.1, dt=0.005, krylov_tol=tol))
+        stepper.step_hat(hat)
+        assert stepper.last_iterations == sweeps
+        assert calls == {"fft2": forward, "ifft2": sweeps}
 
 
 def test_step_and_evolve_make_no_blas_calls(monkeypatch):

@@ -10,7 +10,9 @@ import edgelab
 from edgelab.cli import main as cli_main
 from edgelab.config import ExperimentConfig, parse_config_text
 from edgelab.experiments import _t_quantile, auto_grid, fit_loglog, run_check_suite, run_experiment
+from edgelab.geometry import integrate_trajectory
 from edgelab.snapshots import read_snapshot
+from edgelab.walls import TransversalityError, make_wall
 
 
 def cfg_from(text):
@@ -116,6 +118,21 @@ evolve.epsilon = 0.25
 evolve.t_end = 1.5
 evolve.snapshots = 3
 init.y0 = 1.5, 0.0
+"""
+
+
+TWO_RING_CFG = """
+experiment.kind = evolve
+wall.family = two_ring
+wall.params = 1.0
+grid.n1 = 64
+grid.n2 = 64
+grid.l1 = 3.0
+grid.l2 = 3.0
+evolve.epsilon = 0.05
+evolve.t_end = 2.0
+evolve.snapshots = 9
+init.y0 = 1.41, 0.0
 """
 
 
@@ -366,16 +383,28 @@ def test_meta_prints_plain_numbers(tmp_path):
     grid = auto_grid(np.array([[0.0, 0.0], [1.2, 0.8]]), 0.1)
     assert type(grid.l1) is float and type(grid.l2) is float
     assert repr(grid) == f"Grid2D(n1={grid.n1}, n2={grid.n2}, l1={grid.l1!r}, l2={grid.l2!r})"
-    # an eighth of a turn of the Berry trace, and a crossing whose reference trajectory truncates
+    # an eighth of a turn of the Berry trace, and a crossing and a lemniscate whose reference
+    # trajectories truncate
     berry = run_experiment(cfg_from(BERRY_CFG + "berry.revolutions = 0.125\n"), str(tmp_path / "berry"))
-    crossing = run_experiment(cfg_from(CROSSING_CFG), str(tmp_path / "crossing"))
-    assert crossing["trajectory_truncated"] is True
-    for run in ("berry", "crossing"):
+    meta = (tmp_path / "berry" / "meta.txt").read_text()
+    assert "np.float64" not in meta, meta
+    assert f"total phase = {berry[1.0]['total_phase']!r}," in meta
+    for run, text in (("crossing", CROSSING_CFG), ("two_ring", TWO_RING_CFG)):
+        cfg = cfg_from(text)
+        assert run_experiment(cfg, str(tmp_path / run))["trajectory_truncated"] is True
         meta = (tmp_path / run / "meta.txt").read_text()
         assert "np.float64" not in meta, meta
-    meta = (tmp_path / "berry" / "meta.txt").read_text()
-    assert f"total phase = {berry[1.0]['total_phase']!r}," in meta
-    assert "reference trajectory truncated at t = " in (tmp_path / "crossing" / "meta.txt").read_text()
+        # the reference ends at the last sample before the floor: one trajectory step more meets it
+        traj_rows = read_rows(tmp_path / run / "trajectory.csv")[1:]
+        t_last, dt = float(traj_rows[-1][0]), float(traj_rows[1][0])
+        wall = make_wall(cfg.get("wall.family"), cfg.get("wall.params"))
+        assert [float(c) for c in traj_rows[-1][1:3]] == list(integrate_trajectory(wall, cfg.y0(), t_last, dt).y[-1])
+        with pytest.raises(TransversalityError):
+            integrate_trajectory(wall, cfg.y0(), t_last + dt, dt)
+        assert f"reference trajectory truncated at t = {t_last!r} " in meta
+    # the lemniscate's reference reaches t = 1.8525, so only its last snapshot row lacks y1
+    assert t_last == 1.8525
+    assert [r[0] for r in read_rows(tmp_path / "two_ring" / "evolution.csv")[1:] if r[4] == ""] == ["2.0"]
 
 
 def test_cli_override_applies(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -412,6 +413,38 @@ def test_T2_of_leading_amplitude_has_no_first_component():
     a0[:, 0, :, 0] *= rng.standard_normal((6, X1GRID.n)) + 1j * rng.standard_normal((6, X1GRID.n))
     t2 = hierarchy.apply_T2(a0, ctx, X1GRID)
     assert np.all(t2[:, 0] == 0) and np.all(np.any(t2[:, 1], axis=(1, 2)))
+
+
+@pytest.mark.parametrize("block", [16, 1])
+def test_kernel_line_of_T1_matches_apply_T1_bit_for_bit(block):
+    # the f1 transport reads one line of T1 b1, and _t1_kernel_line computes it from six input lines.
+    # x2_mult and dx2_op are BLAS products whose last bits can depend on the shape, so the arrays are
+    # the sweep's: a block of 16 samples or its one-sample tail, b1 on 6 bands (apply_T1 got a 4-band
+    # view of them), with r_dot non-zero and zero
+    rng = np.random.default_rng(12)
+    ctx = _random_frames(rng, block)
+    p2 = hierarchy._taylor_poly(ctx.hessian, ctx)
+    shape = (2, block, 2, X1GRID.n, 6)
+    c, dt_c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for frames in (ctx, dataclasses.replace(ctx, r_dot=np.zeros(block))):
+        full = hierarchy.apply_T1(c[..., :4], dt_c[..., :4], frames, p2, X1GRID)
+        assert hierarchy._t1_kernel_line(c, dt_c, frames, p2, X1GRID).tobytes() == full[:, 0, :, 0].tobytes()
+
+
+def test_b1_inverted_on_its_bands_matches_the_six_band_inversion(tanh_solver):
+    # b1 occupies bands 0-3, so invert_L on 4 bands gives the bits of the 6-band inversion there;
+    # the guard bands 4-5 are zero either way (the 6-band inversion leaves some as -0.0)
+    solver, _ = tanh_solver
+    for lo, hi in ((0, 16), (500, 501)):
+        ctx = solver._frames(lo, hi)
+        a0, dt_a0 = hierarchy._leading(solver.profile, ctx, solver.grid, 3)
+        src = hierarchy.apply_T1(a0, dt_a0, ctx, hierarchy._taylor_poly(ctx.hessian, ctx), solver.grid)
+        six = hermite.invert_L(hierarchy._widen(hermite.kernel_project(src)[1], 6), solver.grid)
+        six = six * hierarchy._per_sample(-1.0 / np.sqrt(ctx.r))
+        b1 = solver._b1_block(lo, hi)
+        assert b1.shape == six.shape == (hi - lo, 2, solver.grid.n, 6)
+        assert b1[..., :4].tobytes() == six[..., :4].tobytes()
+        assert not np.any(b1[..., 4:]) and not np.any(six[..., 4:])
 
 
 def test_closed_form_frame_rotation_pointwise():

@@ -9,6 +9,7 @@ from edgelab.walls import (
     normalize_wall,
     straight_wall,
     _central_diff,
+    _check_away_from,
     _symmetrize3,
 )
 from edgelab.geometry import project_to_interface
@@ -125,6 +126,18 @@ def test_corner_singular_point():
     # smoothed corner is fine everywhere
     smooth = make_wall("corner", (0.5,))
     evaluate_wall(smooth, np.array([0.0, 0.0]))
+
+
+def test_circle_derivatives_reject_the_centre_and_non_finite_points():
+    wall = make_wall("circle", (1.0,))
+    for x in ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0)):
+        for derivative in (wall.gradient, wall.hessian):
+            with pytest.raises(SingularPointError, match="circle center"):
+                derivative(np.array([x, (0.5, 0.5)]))
+    # the threshold: distances from 1e-300 on are regular, whatever the point that has them
+    _check_away_from(np.array([1e-299, 1.0]), "test")
+    with pytest.raises(SingularPointError):
+        _check_away_from(np.array([1e-301, 1.0]), "test")
 
 
 def test_families_without_params_reject_them():

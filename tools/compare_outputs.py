@@ -45,6 +45,7 @@ RUNS = (
     ("scaling_tanh_o0", "scaling_tanh.cfg", ("scaling.times=0.25", "scaling.epsilons=0.4,0.2,0.1", "init.order=0")),
     ("scaling_tanh_o2", "scaling_tanh.cfg", ("scaling.times=0.25", "scaling.epsilons=0.4,0.2,0.1", "init.order=2")),
     ("evolve_two_ring_crossing", "evolve_two_ring.cfg", (*_N128, "evolve.t_end=2.0", "evolve.epsilon=0.05")),
+    ("berry_circle_256", "berry_circle.cfg", ("grid.n1=256", "grid.n2=256", "berry.revolutions=0.125")),
 )
 
 
